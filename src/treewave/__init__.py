@@ -6,7 +6,6 @@ reuse, exact chromatic/clique oracles, load normalization, lower bounds,
 and a generation/verification/bench harness with a CLI.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .bounds import (
     BoundsReport,
     NormalizedInstance,
@@ -67,9 +66,12 @@ from .instances import (
     validate_subtree,
     validate_tree,
 )
-from .matching import Matching, brute_force_matching_size, max_bipartite_matching
+from .matching import Matching, max_bipartite_matching
 
 __version__ = "0.1.0"
+
+# Kept for callers that record which kernels ran; there is only one set.
+kernel_backend = "pure"
 
 __all__ = [
     "Arc",
@@ -98,7 +100,6 @@ __all__ = [
     "VerifyReport",
     "bench_run",
     "bfs_edge_order",
-    "brute_force_matching_size",
     "build_conflict_graph",
     "classify_edge",
     "collide",

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._kernels import chromatic_backend, clique_backend
 from .conflict import ConflictGraph, build_conflict_graph, edge_complement_bipartite
 from .greedy import first_fit_color
 from .instances import (
@@ -96,6 +95,179 @@ def global_lower_bound(inst: Instance) -> int:
     )
 
 
+# Exact-oracle kernels.  Graphs arrive as bitmask adjacency rows:
+# ``masks[v]`` has bit ``u`` set iff ``{u,v}`` is an edge.  Every tie-break
+# is deliberate: lowest index wins among equals, so results, witnesses
+# included, are reproducible everywhere.
+
+
+def _greedy_clique(n: int, masks: Sequence[int]) -> list[int]:
+    """Greedy clique: seed with the max-degree vertex, extend by degree
+    inside the shrinking candidate set; lowest index breaks ties."""
+    best_v = 0
+    best_d = -1
+    for v in range(n):
+        d = bin(masks[v]).count("1")
+        if d > best_d:
+            best_d = d
+            best_v = v
+    clique = [best_v]
+    cand = masks[best_v]
+    while cand:
+        pick = -1
+        pick_d = -1
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = bin(masks[v] & cand).count("1")
+            if d > pick_d:
+                pick_d = d
+                pick = v
+        clique.append(pick)
+        cand &= masks[pick]
+    return clique
+
+
+def _first_fit(n: int, masks: Sequence[int]) -> list[int]:
+    """First-fit coloring in index order; colors are 1-based."""
+    colors = [0] * n
+    for v in range(n):
+        used = 0
+        m = masks[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if colors[u]:
+                used |= 1 << (colors[u] - 1)
+        c = 1
+        while used & (1 << (c - 1)):
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
+    """Exact chromatic number with an optimal witness (1-based colors).
+
+    Branch and bound: a greedy clique gives the initial lower bound and is
+    pre-colored 1..k to break color symmetry; first-fit gives the initial
+    upper bound and witness; vertices are then chosen by maximum
+    saturation (distinct neighbor colors), degree and lowest index
+    breaking ties, and a branch is cut as soon as it cannot use fewer
+    colors than the incumbent.
+    """
+    if n == 0:
+        return 0, []
+    clique = _greedy_clique(n, masks)
+    lb = len(clique)
+    ff = _first_fit(n, masks)
+    ub = max(ff)
+    if lb == ub:
+        return ub, ff
+    best = ub
+    best_colors = list(ff)
+    colors = [0] * n
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+    degrees = [bin(masks[v]).count("1") for v in range(n)]
+
+    def dfs(colored: int, used: int) -> None:
+        nonlocal best, best_colors
+        if used >= best:
+            return
+        if colored == n:
+            best = used
+            best_colors = list(colors)
+            return
+        # pick the uncolored vertex with max (saturation, degree), min index
+        pick = -1
+        pick_sat = -1
+        pick_deg = -1
+        for v in range(n):
+            if colors[v]:
+                continue
+            seen = 0
+            m = masks[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if colors[u]:
+                    seen |= 1 << (colors[u] - 1)
+            sat = bin(seen).count("1")
+            if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
+                pick_sat = sat
+                pick_deg = degrees[v]
+                pick = v
+        forbidden = 0
+        m = masks[pick]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if colors[u]:
+                forbidden |= 1 << (colors[u] - 1)
+        top = used + 1
+        if top > best - 1:
+            top = best - 1
+        for c in range(1, top + 1):
+            if forbidden & (1 << (c - 1)):
+                continue
+            colors[pick] = c
+            dfs(colored + 1, used if c <= used else c)
+            colors[pick] = 0
+
+    dfs(lb, lb)
+    return best, best_colors
+
+
+def _color_bound(cand: int, masks: Sequence[int]) -> int:
+    """Greedy coloring of the candidate set (ascending index): class count
+    bounds the largest clique inside ``cand``."""
+    classes: list[int] = []
+    m = cand
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        placed = False
+        for k in range(len(classes)):
+            if not (masks[v] & classes[k]):
+                classes[k] |= 1 << v
+                placed = True
+                break
+        if not placed:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def _max_clique_size(n: int, masks: Sequence[int]) -> int:
+    """Exact maximum clique size by branch and bound.
+
+    Candidates are consumed in ascending index order so each clique is
+    enumerated once; subtrees of the search are cut with the greedy
+    coloring bound and the remaining-candidate count.
+    """
+    if n == 0:
+        return 0
+    best = 0
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        while cand:
+            if size + bin(cand).count("1") <= best:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            new_size = size + 1
+            if new_size > best:
+                best = new_size
+            sub = cand & masks[v]
+            if sub and new_size + _color_bound(sub, masks) > best:
+                expand(sub, new_size)
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
 def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal witness coloring.
 
@@ -105,7 +277,7 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
     """
     if g.n > limit:
         raise LimitError(f"exact coloring limited to {limit} vertices, got {g.n}")
-    chi, colors = chromatic_backend(g.n, list(g.adj_masks))
+    chi, colors = _chromatic_number(g.n, g.adj_masks)
     return chi, Coloring({i: c for i, c in enumerate(colors)})
 
 
@@ -114,7 +286,7 @@ def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
     exact_chromatic."""
     if g.n > limit:
         raise LimitError(f"max clique limited to {limit} vertices, got {g.n}")
-    return clique_backend(g.n, list(g.adj_masks))
+    return _max_clique_size(g.n, g.adj_masks)
 
 
 def first_fit_baseline(inst: Instance) -> Coloring:

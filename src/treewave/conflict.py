@@ -24,9 +24,6 @@ class ConflictGraph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         """Adjacency rows as bitmasks, for the exact-oracle kernels."""

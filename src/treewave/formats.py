@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .instances import Coloring, HostTree, InputError, Instance, RootedSubtree
+from .instances import HostTree, InputError, Instance, RootedSubtree
 
 
 def dumps_instance(inst: Instance) -> str:
@@ -71,10 +71,6 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     if any(c < 1 for c in colors) or (original and any(c < 1 for c in original)):
         raise InputError("colors must be positive integers")
     return colors, original
-
-
-def coloring_to_doc(c: Coloring, n: int) -> list[int]:
-    return c.color_list(n)
 
 
 CSV_COLUMNS = (

@@ -36,9 +36,6 @@ class Arc(NamedTuple):
     tail: int
     head: int
 
-    def reverse(self) -> "Arc":
-        return Arc(self.head, self.tail)
-
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""

@@ -1,20 +1,15 @@
-"""Maximum matching in bipartite graphs, plus a brute-force test oracle.
+"""Maximum matching in bipartite graphs.
 
-The matching engine drives the color-reuse step of the greedy colorer
-and the per-edge lower bound.  The brute-force oracle is deliberately
-kept as an independent second route (exhaustive search, no shared code
-with the kernels) so the two can certify each other.
+The matching drives the color-reuse step of the greedy colorer and the
+per-edge lower bound.  The tests certify it against independent
+brute-force oracles and a recursive reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels import matching_backend
 from .conflict import BipartiteGraph
-from .instances import LimitError
-
-BRUTE_FORCE_GUARD = 24
 
 
 @dataclass(frozen=True)
@@ -29,48 +24,42 @@ class Matching:
 
 
 def max_bipartite_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching by augmenting paths.
+    """Maximum-cardinality matching by augmenting paths (Kuhn).
 
     Deterministic: left positions are processed in ascending order and
-    neighbors in ascending right position.
+    neighbors tried in ascending right position, which pins down the
+    returned matching.  The depth-first search keeps its own stack, so an
+    augmenting path may be as long as the graph.
     """
-    adj: list[list[int]] = [[] for _ in range(len(g.left))]
+    n_left, n_right = len(g.left), len(g.right)
+    adj: list[list[int]] = [[] for _ in range(n_left)]
     for lp, rp in sorted(g.edges):
         adj[lp].append(rp)
-    match_l = matching_backend(len(g.left), len(g.right), adj)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    visited_by = [-1] * n_right  # last root whose search visited each right
+    for root in range(n_left):
+        # frames[k] = (left, its untried neighbors); path[k] is the right
+        # position frames[k] is trying, whose owner is frames[k + 1]
+        frames = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while frames:
+            for r in frames[-1][1]:
+                if visited_by[r] != root:
+                    visited_by[r] = root
+                    break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(r)
+            owner = match_r[r]
+            if owner == -1:
+                for (l, _), r in zip(frames, path):
+                    match_l[l] = r
+                    match_r[r] = l
+                break
+            frames.append((owner, iter(adj[owner])))
     pairs = tuple((lp, rp) for lp, rp in enumerate(match_l) if rp != -1)
     return Matching(pairs)
-
-
-def brute_force_matching_size(g: BipartiteGraph) -> int:
-    """Exact maximum matching size by exhaustive search.
-
-    Memoized on (left position, set of used right positions); guarded to
-    at most 24 total vertices.  Test oracle only.
-    """
-    n_l, n_r = len(g.left), len(g.right)
-    if n_l + n_r > BRUTE_FORCE_GUARD:
-        raise LimitError(
-            f"brute-force matching limited to {BRUTE_FORCE_GUARD} vertices, got {n_l + n_r}"
-        )
-    adj: list[list[int]] = [[] for _ in range(n_l)]
-    for lp, rp in sorted(g.edges):
-        adj[lp].append(rp)
-    memo: dict[tuple[int, int], int] = {}
-
-    def best(i: int, used: int) -> int:
-        if i == n_l:
-            return 0
-        key = (i, used)
-        if key in memo:
-            return memo[key]
-        res = best(i + 1, used)
-        for r in adj[i]:
-            if not (used >> r) & 1:
-                cand = 1 + best(i + 1, used | (1 << r))
-                if cand > res:
-                    res = cand
-        memo[key] = res
-        return res
-
-    return best(0, 0)

@@ -3,13 +3,19 @@
 Nothing here shares code with the package: collisions are rescanned from
 arc lists, chromatic numbers come from exhaustive backtracking,
 cliques from subset enumeration, matchings from take/skip recursion on
-the edge list, and bipartiteness from BFS 2-coloring.  Keep it that way;
-these exist to certify the fast paths.
+the edge list or from memoized exhaustive search, and bipartiteness from
+BFS 2-coloring.  Keep it that way; these exist to certify the fast paths.
+The one exception is `kuhn_recursive`, the recursive form of the
+package's matching search, kept as the reference its pairs must equal.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from treewave import LimitError
+
+BRUTE_FORCE_GUARD = 24
 
 
 def collide_naive(a, b) -> bool:
@@ -138,3 +144,65 @@ def brute_matching(n_left: int, n_right: int, edges) -> int:
         return best
 
     return go(0, frozenset(), frozenset())
+
+
+def brute_force_matching_size(g) -> int:
+    """Exact maximum matching size by exhaustive search.
+
+    Memoized on (left position, set of used right positions); guarded to
+    at most 24 total vertices.
+    """
+    n_l, n_r = len(g.left), len(g.right)
+    if n_l + n_r > BRUTE_FORCE_GUARD:
+        raise LimitError(
+            f"brute-force matching limited to {BRUTE_FORCE_GUARD} vertices, got {n_l + n_r}"
+        )
+    adj: list[list[int]] = [[] for _ in range(n_l)]
+    for lp, rp in sorted(g.edges):
+        adj[lp].append(rp)
+    memo: dict[tuple[int, int], int] = {}
+
+    def best(i: int, used: int) -> int:
+        if i == n_l:
+            return 0
+        key = (i, used)
+        if key in memo:
+            return memo[key]
+        res = best(i + 1, used)
+        for r in adj[i]:
+            if not (used >> r) & 1:
+                cand = 1 + best(i + 1, used | (1 << r))
+                if cand > res:
+                    res = cand
+        memo[key] = res
+        return res
+
+    return best(0, 0)
+
+
+def kuhn_recursive(g) -> tuple[tuple[int, int], ...]:
+    """Kuhn's augmenting-path matching written recursively.
+
+    Left positions in ascending order, neighbors in ascending right
+    position; returns the (left, right) pairs in left order.  Recursion
+    depth is the augmenting path length, so keep inputs small.
+    """
+    adj: list[list[int]] = [[] for _ in range(len(g.left))]
+    for lp, rp in sorted(g.edges):
+        adj[lp].append(rp)
+    match_l = [-1] * len(g.left)
+    match_r = [-1] * len(g.right)
+
+    def augment(l: int, visited: list[bool]) -> bool:
+        for r in adj[l]:
+            if not visited[r]:
+                visited[r] = True
+                if match_r[r] == -1 or augment(match_r[r], visited):
+                    match_r[r] = l
+                    match_l[l] = r
+                    return True
+        return False
+
+    for l in range(len(g.left)):
+        augment(l, [False] * len(g.right))
+    return tuple((l, r) for l, r in enumerate(match_l) if r != -1)

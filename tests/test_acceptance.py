@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_instance
-from oracles import bfs_two_colorable
+from oracles import bfs_two_colorable, brute_force_matching_size, kuhn_recursive
 from test_matching import random_bipartite
 from treewave import (
     Coloring,
@@ -26,7 +26,6 @@ from treewave import (
     NormalizedInstance,
     RootedSubtree,
     bfs_edge_order,
-    brute_force_matching_size,
     build_conflict_graph,
     classify_edge,
     edge_complement_bipartite,
@@ -259,13 +258,15 @@ def test_criterion_6_matching_oracle_equivalence():
     violations = []
     for seed in range(600):
         g = random_bipartite(seed, max_side=12)
-        fast = max_bipartite_matching(g).size
+        m = max_bipartite_matching(g)
         slow = brute_force_matching_size(g)
-        if fast != slow:
-            violations.append(f"seed {seed}: matcher {fast} != brute force {slow}")
+        if m.size != slow:
+            violations.append(f"seed {seed}: matcher {m.size} != brute force {slow}")
+        if m.pairs != kuhn_recursive(g):
+            violations.append(f"seed {seed}: pairs differ from recursive Kuhn")
     _report(
         6,
-        "augmenting-path matching equals brute force on 600 random graphs",
+        "augmenting-path matching equals brute force and recursive Kuhn on 600 random graphs",
         violations,
         "sides up to 12+12",
     )

@@ -29,6 +29,8 @@ from treewave import (
 from treewave.conflict import edge_complement_bipartite
 from treewave.matching import max_bipartite_matching
 
+TRIANGLE_PLUS_ISOLATED = ((1, 2), (0, 2), (0, 1), ())
+
 
 class TestNormalize:
     def test_p3_demo_padding(self, p3_demo):
@@ -157,6 +159,21 @@ class TestExactChromatic:
             exact_chromatic(g, limit=30)
         assert exact_chromatic(g, limit=40)[0] == 1
 
+    @pytest.mark.parametrize(
+        "adjacency, chi",
+        [
+            pytest.param(((),), 1, id="single_vertex"),
+            pytest.param(TRIANGLE_PLUS_ISOLATED, 3, id="triangle_plus_isolated"),
+            pytest.param(((),) * 70, 1, id="70_isolated"),
+        ],
+    )
+    def test_small_graphs(self, adjacency, chi):
+        g = ConflictGraph(len(adjacency), adjacency)
+        found, witness = exact_chromatic(g, limit=100)
+        colors = witness.color_list(g.n)
+        assert found == chi == len(set(colors))
+        assert all(colors[u] != colors[v] for u in range(g.n) for v in adjacency[u])
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_brute_force_and_witness_exact(self, seed):
@@ -183,6 +200,16 @@ class TestMaxClique:
         g = ConflictGraph(31, tuple(() for _ in range(31)))
         with pytest.raises(LimitError):
             max_clique(g, limit=30)
+
+    @pytest.mark.parametrize(
+        "adjacency, size",
+        [
+            pytest.param(TRIANGLE_PLUS_ISOLATED, 3, id="triangle_plus_isolated"),
+            pytest.param(((),) * 70, 1, id="70_isolated"),
+        ],
+    )
+    def test_small_graphs(self, adjacency, size):
+        assert max_clique(ConflictGraph(len(adjacency), adjacency), limit=100) == size
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

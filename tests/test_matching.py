@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_matching
-from treewave import (
-    BipartiteGraph,
-    LimitError,
-    Matching,
-    brute_force_matching_size,
-    max_bipartite_matching,
-)
+from oracles import brute_force_matching_size, brute_matching, kuhn_recursive
+from treewave import BipartiteGraph, LimitError, max_bipartite_matching
 from treewave.rng import XorShift64Star
 
 
@@ -60,6 +54,18 @@ class TestMaxBipartiteMatching:
         g = random_bipartite(777)
         assert max_bipartite_matching(g) == max_bipartite_matching(g)
 
+    def test_chain_deeper_than_recursion_limit(self):
+        # left l -> rights l, l+1 and the last left -> right 0: the last
+        # left's one augmenting path crosses every vertex
+        n = 20_000
+        edges = tuple((l, r) for l in range(n - 1) for r in (l, l + 1))
+        g = BipartiteGraph(
+            tuple(range(n)), tuple(range(n, 2 * n)), edges + ((n - 1, 0),)
+        )
+        m = max_bipartite_matching(g)
+        assert m.size == n
+        assert m.pairs[-1] == (n - 1, 0)
+
 
 class TestBruteForce:
     def test_edgeless(self):
@@ -81,7 +87,9 @@ class TestBruteForce:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_matching_agrees_with_brute_force(seed):
     g = random_bipartite(seed)
-    assert max_bipartite_matching(g).size == brute_force_matching_size(g)
+    m = max_bipartite_matching(g)
+    assert m.size == brute_force_matching_size(g)
+    assert m.pairs == kuhn_recursive(g)
 
 
 @settings(max_examples=60, deadline=None)
