@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from oracles import collide_naive, coloring_valid_naive
 from treewave import (
+    GenParams,
     HostTree,
     InputError,
     Instance,
     RootedSubtree,
+    SweepSpec,
     bfs_edge_order,
     build_conflict_graph,
     classify_edge,
     exact_chromatic,
+    first_fit_baseline,
     first_fit_color,
+    generate_instance,
     greedy_color,
     load,
     normalize,
@@ -25,9 +30,11 @@ from treewave import (
     process_edge_2,
     process_edge_simple,
     subtrees_on_edge,
+    sweep_items,
 )
 from treewave.greedy import _reuse_graph
 from treewave.matching import max_bipartite_matching
+from treewave.rng import derive_seed
 
 
 class TestBfsEdgeOrder:
@@ -335,3 +342,37 @@ def test_normalized_star_demo_matches_replay(star_demo):
     psi, forks = _replay_with_subroutine_checks(padded)
     assert forks == 1
     assert dict(greedy_color(padded).coloring.assignment) == psi
+
+
+# SHA-256 over greedy results (coloring, per-round kind/edge/newly_colored/
+# color count, scheme choices) and first-fit baselines on a fixed seeded set;
+# recorded from the conflict-graph greedy this implementation must reproduce.
+GREEDY_DIGEST = "731da8b3b704c43823c54da5a46387d7fcbbec28132b251cc6d8c6e95b86f689"
+
+
+def _digest_cases():
+    for item in sweep_items(SweepSpec(300, 7)):
+        yield item.instance, 0
+        yield normalize(item.instance).padded, 0
+    for i in range(8):
+        params = GenParams(100, 3, 200, (1, 6), seed=derive_seed(1, i))
+        inst = normalize(generate_instance(params)).padded
+        yield inst, 0
+        yield inst, 7
+
+
+def test_results_match_recorded_digest():
+    h = hashlib.sha256()
+    for inst, root in _digest_cases():
+        res = greedy_color(inst, root)
+        rounds = [
+            (rs.kind, rs.processed_edges[-1], rs.newly_colored, rs.colors_used_after)
+            for rs in res.trace
+        ]
+        choices = [
+            (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
+            for c in res.scheme_choices
+        ]
+        base = first_fit_baseline(inst).color_list(inst.size)
+        h.update(repr((res.coloring.color_list(inst.size), rounds, choices, base)).encode())
+    assert h.hexdigest() == GREEDY_DIGEST
