@@ -31,7 +31,6 @@ from .greedy import (
     SchemeChoice,
     bfs_edge_order,
     classify_edge,
-    first_fit_color,
     greedy_color,
     process_edge_1,
     process_edge_2,
@@ -108,7 +107,6 @@ __all__ = [
     "edge_lower_bound",
     "exact_chromatic",
     "first_fit_baseline",
-    "first_fit_color",
     "generate_instance",
     "global_lower_bound",
     "greedy_color",

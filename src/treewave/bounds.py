@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .conflict import ConflictGraph, build_conflict_graph, edge_complement_bipartite
-from .greedy import first_fit_color
+from .greedy import ArcColors
 from .instances import (
     Arc,
     Coloring,
@@ -165,59 +165,69 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     ub = max(ff)
     if lb == ub:
         return ub, ff
-    best = ub
-    best_colors = list(ff)
     colors = [0] * n
     for i, v in enumerate(clique):
         colors[v] = i + 1
     degrees = [bin(masks[v]).count("1") for v in range(n)]
+    incumbent = [ub, ff]
+    _dsatur_branch(masks, degrees, colors, lb, lb, incumbent)
+    return incumbent[0], incumbent[1]
 
-    def dfs(colored: int, used: int) -> None:
-        nonlocal best, best_colors
-        if used >= best:
-            return
-        if colored == n:
-            best = used
-            best_colors = list(colors)
-            return
-        # pick the uncolored vertex with max (saturation, degree), min index
-        pick = -1
-        pick_sat = -1
-        pick_deg = -1
-        for v in range(n):
-            if colors[v]:
-                continue
-            seen = 0
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colors[u]:
-                    seen |= 1 << (colors[u] - 1)
-            sat = bin(seen).count("1")
-            if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
-                pick_sat = sat
-                pick_deg = degrees[v]
-                pick = v
-        forbidden = 0
-        m = masks[pick]
+
+def _dsatur_branch(
+    masks: Sequence[int],
+    degrees: Sequence[int],
+    colors: list[int],
+    colored: int,
+    used: int,
+    incumbent: list,
+) -> None:
+    """Search below the partial `colors`, replacing ``incumbent = [best
+    count, witness]`` on finding fewer colors.  Module-level recursion over
+    explicit state, so a search leaves no reference cycle behind."""
+    n = len(colors)
+    if used >= incumbent[0]:
+        return
+    if colored == n:
+        incumbent[:] = [used, list(colors)]
+        return
+    # pick the uncolored vertex with max (saturation, degree), min index
+    pick = -1
+    pick_sat = -1
+    pick_deg = -1
+    for v in range(n):
+        if colors[v]:
+            continue
+        seen = 0
+        m = masks[v]
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
             if colors[u]:
-                forbidden |= 1 << (colors[u] - 1)
-        top = used + 1
-        if top > best - 1:
-            top = best - 1
-        for c in range(1, top + 1):
-            if forbidden & (1 << (c - 1)):
-                continue
-            colors[pick] = c
-            dfs(colored + 1, used if c <= used else c)
-            colors[pick] = 0
-
-    dfs(lb, lb)
-    return best, best_colors
+                seen |= 1 << (colors[u] - 1)
+        sat = bin(seen).count("1")
+        if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
+            pick_sat = sat
+            pick_deg = degrees[v]
+            pick = v
+    forbidden = 0
+    m = masks[pick]
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if colors[u]:
+            forbidden |= 1 << (colors[u] - 1)
+    top = used + 1
+    if top > incumbent[0] - 1:
+        top = incumbent[0] - 1
+    for c in range(1, top + 1):
+        if forbidden & (1 << (c - 1)):
+            continue
+        colors[pick] = c
+        _dsatur_branch(
+            masks, degrees, colors, colored + 1, used if c <= used else c, incumbent
+        )
+        colors[pick] = 0
 
 
 def _color_bound(cand: int, masks: Sequence[int]) -> int:
@@ -248,23 +258,23 @@ def _max_clique_size(n: int, masks: Sequence[int]) -> int:
     """
     if n == 0:
         return 0
-    best = 0
+    return _clique_expand(masks, (1 << n) - 1, 0, 0)
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        while cand:
-            if size + bin(cand).count("1") <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            new_size = size + 1
-            if new_size > best:
-                best = new_size
-            sub = cand & masks[v]
-            if sub and new_size + _color_bound(sub, masks) > best:
-                expand(sub, new_size)
 
-    expand((1 << n) - 1, 0)
+def _clique_expand(masks: Sequence[int], cand: int, size: int, best: int) -> int:
+    """Extend a clique of `size` by the vertices of `cand`; returns the
+    largest clique size known afterwards (at least `best`)."""
+    while cand:
+        if size + bin(cand).count("1") <= best:
+            return best
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        new_size = size + 1
+        if new_size > best:
+            best = new_size
+        sub = cand & masks[v]
+        if sub and new_size + _color_bound(sub, masks) > best:
+            best = _clique_expand(masks, sub, new_size, best)
     return best
 
 
@@ -291,11 +301,10 @@ def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
 
 def first_fit_baseline(inst: Instance) -> Coloring:
     """Naive comparison baseline: first-fit in input order."""
-    g = build_conflict_graph(inst)
-    psi: dict[int, int] = {}
+    state = ArcColors(inst)
     for i in range(inst.size):
-        psi[i] = first_fit_color(i, psi, g)
-    return Coloring(psi)
+        state.assign(i, state.first_fit(i))
+    return Coloring(state.psi)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     if args.trace:
         for rs in result.trace:
             print(
-                f"round {rs.round}: edge {rs.processed_edges[-1]} kind {rs.kind} "
+                f"round {rs.round}: edge {rs.edge} kind {rs.kind} "
                 f"newly_colored={list(rs.newly_colored)} colors={rs.colors_used_after}",
                 file=sys.stderr,
             )

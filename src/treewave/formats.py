@@ -27,6 +27,13 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _int(value) -> int:
+    """A JSON integer as is; floats, strings and booleans are never coerced."""
+    if type(value) is not int:
+        raise InputError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def loads_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -34,9 +41,11 @@ def loads_instance(text: str) -> Instance:
         raise InputError(f"not valid JSON: {e}") from e
     try:
         tree_doc = doc["tree"]
-        tree = HostTree.of(tree_doc["vertices"], tree_doc["edges"])
+        edges = [(_int(u), _int(v)) for u, v in tree_doc["edges"]]
+        tree = HostTree.of(_int(tree_doc["vertices"]), edges)
         subtrees = tuple(
-            RootedSubtree.of(s["root"], s["arcs"]) for s in doc["subtrees"]
+            RootedSubtree.of(_int(s["root"]), [(_int(t), _int(h)) for t, h in s["arcs"]])
+            for s in doc["subtrees"]
         )
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance document: {e}") from e
@@ -62,10 +71,10 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     """Returns (colors, original_colors or None)."""
     try:
         doc = json.loads(text)
-        colors = [int(c) for c in doc["colors"]]
+        colors = [_int(c) for c in doc["colors"]]
         original = doc.get("original_colors")
         if original is not None:
-            original = [int(c) for c in original]
+            original = [_int(c) for c in original]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed coloring document: {e}") from e
     if any(c < 1 for c in colors) or (original and any(c < 1 for c in original)):

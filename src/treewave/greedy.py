@@ -8,21 +8,23 @@ degree-3 fork with exactly one processed sibling edge) runs two
 competing schemes that pair up color-shareable subtrees via a maximum
 matching in a complement conflict graph, and commits whichever scheme
 ends the round with fewer distinct colors in use.
+
+Two subtrees conflict exactly when they share an arc, so the state is
+kept per arc (`ArcColors`) and no conflict graph is built.  A fork round
+undoes the losing scheme subtree by subtree; the trace keeps per-round
+deltas.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
-from .conflict import (
-    BipartiteGraph,
-    ConflictGraph,
-    build_conflict_graph,
-    edge_complement_bipartite,
-)
+from .conflict import BipartiteGraph, edge_complement_bipartite
 from .instances import (
+    Arc,
     Coloring,
     HostTree,
     InputError,
@@ -45,6 +47,11 @@ class EdgeOrder:
     @property
     def parent_side(self) -> tuple[int, ...]:
         return tuple(e[0] for e in self.edges)
+
+    @cached_property
+    def position(self) -> dict[tuple[int, int], int]:
+        """Canonical edge -> its 1-based round index."""
+        return {edge_key(u, v): i for i, (u, v) in enumerate(self.edges, 1)}
 
 
 def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
@@ -88,10 +95,9 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
     if not (1 <= i <= len(order.edges)):
         raise InputError(f"round index {i} out of range")
     u, v = order.edges[i - 1]
-    processed = {edge_key(a, b) for a, b in order.edges[: i - 1]}
     siblings = [n for n in order.tree.adjacency[u] if n != v]
-    done = [n for n in siblings if edge_key(u, n) in processed]
-    pending = [n for n in siblings if edge_key(u, n) not in processed]
+    done = [n for n in siblings if order.position[edge_key(u, n)] < i]
+    pending = [n for n in siblings if order.position[edge_key(u, n)] >= i]
     if not done:
         if i != 1:
             raise InternalError(f"round {i}: no processed edge at vertex {u}")
@@ -106,177 +112,162 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
     raise InternalError(f"round {i}: cannot classify edge ({u},{v}), degree {degree_u}")
 
 
-def first_fit_color(idx: int, assignment: Mapping[int, int], g: ConflictGraph) -> int:
-    """Smallest positive color not used by any colored neighbor of idx."""
-    forbidden = {assignment[t] for t in g.adjacency[idx] if t in assignment}
-    c = 1
-    while c in forbidden:
-        c += 1
-    return c
+class ArcColors:
+    """Partial coloring kept per arc, the greedy's whole state.
+
+    `psi` maps colored subtrees to colors, `arc_colors` each arc to the
+    colors on it, and `color_count` each color in use to its number of
+    subtrees.  The coloring stays valid, so a color sits on an arc for at
+    most one subtree and `unassign` may simply drop it from that set.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        self.inst = inst
+        self.psi: dict[int, int] = {}
+        self.arc_colors: dict[Arc, set[int]] = {a: set() for a in inst.per_arc_index}
+        self.color_count: dict[int, int] = {}
+
+    def first_fit(self, *subtrees: int) -> int:
+        """Smallest positive color on no arc of any of the given subtrees."""
+        forbidden: set[int] = set()
+        for i in subtrees:
+            for a in self.inst.subtrees[i].arcs:
+                forbidden |= self.arc_colors[a]
+        c = 1
+        while c in forbidden:
+            c += 1
+        return c
+
+    def assign(self, i: int, c: int) -> None:
+        self.psi[i] = c
+        for a in self.inst.subtrees[i].arcs:
+            self.arc_colors[a].add(c)
+        self.color_count[c] = self.color_count.get(c, 0) + 1
+
+    def unassign(self, i: int) -> None:
+        c = self.psi.pop(i)
+        for a in self.inst.subtrees[i].arcs:
+            self.arc_colors[a].discard(c)
+        self.color_count[c] -= 1
+        if not self.color_count[c]:
+            del self.color_count[c]
+
+    def colors_used(self) -> int:
+        return len(self.color_count)
 
 
-def _shared_min_color(
-    a: int, b: int, assignment: Mapping[int, int], g: ConflictGraph
-) -> int:
-    """Smallest color simultaneously feasible for two non-colliding subtrees."""
-    forbidden = {assignment[t] for t in g.adjacency[a] if t in assignment}
-    forbidden |= {assignment[t] for t in g.adjacency[b] if t in assignment}
-    c = 1
-    while c in forbidden:
-        c += 1
-    return c
-
-
-def process_edge_simple(
-    queue: Sequence[int], psi: MutableMapping[int, int], g: ConflictGraph
-) -> None:
+def process_edge_simple(state: ArcColors, queue: Sequence[int]) -> None:
     """Color every subtree in `queue` first-fit, in ascending index order."""
     for q in queue:
-        psi[q] = first_fit_color(q, psi, g)
+        state.assign(q, state.first_fit(q))
 
 
 def _reuse_graph(
-    inst: Instance,
-    g: ConflictGraph,
-    psi: Mapping[int, int],
-    colored: frozenset[int],
-    edge: tuple[int, int],
-    members: Sequence[int],
+    state: ArcColors, edge: tuple[int, int], members: Sequence[int]
 ) -> BipartiteGraph:
     """Pairs of `members` (population of one host edge) that may share a color.
 
     Starts from the complement of the conflict graph restricted to the
     edge (bipartite by direction) and drops the pairs that must not be
     merged: two colored subtrees with different colors, and
-    uncolored/colored pairs where some subtree colored like the colored
-    one collides with the uncolored one.
+    uncolored/colored pairs where the colored one's color already sits
+    on an arc of the uncolored one.
     """
-    base = edge_complement_bipartite(inst, edge, members)
-    by_color: dict[int, list[int]] = {}
-    for t in colored:
-        by_color.setdefault(psi[t], []).append(t)
-
-    def blocked(q: int, p: int) -> bool:
-        q_adj = set(g.adjacency[q])
-        return any(t in q_adj for t in by_color[psi[p]])
-
+    base = edge_complement_bipartite(state.inst, edge, members)
+    psi = state.psi
     kept = []
     for lp, rp in base.edges:
         i, j = base.left[lp], base.right[rp]
-        i_colored, j_colored = i in colored, j in colored
-        if i_colored and j_colored:
-            if psi[i] != psi[j]:
+        ci, cj = psi.get(i), psi.get(j)
+        if ci is not None and cj is not None:
+            if ci != cj:
                 continue
-        elif i_colored != j_colored:
-            q, p = (j, i) if i_colored else (i, j)
-            if blocked(q, p):
+        elif ci is not None or cj is not None:
+            q, c = (j, ci) if ci is not None else (i, cj)
+            if any(c in state.arc_colors[a] for a in state.inst.subtrees[q].arcs):
                 continue
         kept.append((lp, rp))
     return BipartiteGraph(base.left, base.right, tuple(kept))
 
 
-def _partner_map(bip: BipartiteGraph, matching) -> dict[int, int]:
+def _color_matched(
+    state: ArcColors, queue: Sequence[int], bip: BipartiteGraph
+) -> None:
+    """Color `queue` from a maximum matching of the reuse graph `bip`.
+
+    A queued subtree matched to a colored one inherits its color; two
+    matched queued subtrees take one shared minimal feasible color;
+    unmatched ones go first-fit.  Ascending index order throughout.
+    """
     partner: dict[int, int] = {}
-    for lp, rp in matching.pairs:
+    for lp, rp in max_bipartite_matching(bip).pairs:
         i, j = bip.left[lp], bip.right[rp]
         partner[i] = j
         partner[j] = i
-    return partner
-
-
-def process_edge_1(
-    inst: Instance,
-    g: ConflictGraph,
-    psi: MutableMapping[int, int],
-    queue: Sequence[int],
-    edge: tuple[int, int],
-) -> None:
-    """First type-4 scheme: reuse colors already present on the edge itself.
-
-    Matches the edge's population (colored plus queued) in the reuse
-    graph.  Matched uncolored/colored pairs inherit the colored partner's
-    color; matched uncolored pairs take one shared minimal feasible
-    color; leftovers go first-fit.  Ascending index order throughout.
-    """
-    colored = frozenset(psi)
     qset = set(queue)
-    members = [i for i in subtrees_on_edge(inst, edge) if i in colored or i in qset]
-    bip = _reuse_graph(inst, g, psi, colored, edge, members)
-    partner = _partner_map(bip, max_bipartite_matching(bip))
+    psi = state.psi
     for q in queue:
         s = partner.get(q)
-        if s is not None and s in colored:
-            psi[q] = psi[s]
+        if s is not None and s not in qset:
+            state.assign(q, psi[s])
     for q in queue:
         if q in psi:
             continue
         s = partner.get(q)
-        if s is not None and s not in colored:
-            c = _shared_min_color(q, s, psi, g)
-            psi[q] = c
-            psi[s] = c
+        if s is None:
+            state.assign(q, state.first_fit(q))
         else:
-            psi[q] = first_fit_color(q, psi, g)
+            c = state.first_fit(q, s)
+            state.assign(q, c)
+            state.assign(s, c)
+
+
+def process_edge_1(
+    state: ArcColors, queue: Sequence[int], edge: tuple[int, int]
+) -> None:
+    """First type-4 scheme: reuse colors already present on the edge itself.
+
+    Matches the edge's population (colored plus queued) in the reuse
+    graph and colors the queue from that matching.
+    """
+    qset = set(queue)
+    members = [
+        i for i in subtrees_on_edge(state.inst, edge) if i in state.psi or i in qset
+    ]
+    _color_matched(state, queue, _reuse_graph(state, edge, members))
 
 
 def process_edge_2(
-    inst: Instance,
-    g: ConflictGraph,
-    psi: MutableMapping[int, int],
-    queue: Sequence[int],
-    u: int,
-    v: int,
-    w: int,
-    x: int,
+    state: ArcColors, queue: Sequence[int], u: int, v: int, w: int, x: int
 ) -> None:
     """Second type-4 scheme: reuse colors from the unprocessed fork edge.
 
     Builds the reuse graph on the {u,x} population, restricted to queued
     subtrees present there plus subtrees colored on {u,x} but not on
-    {u,v}.  Queued subtrees on {u,x} are colored first (inherit from a
-    matched colored partner, share a minimal color with a matched queued
-    partner, else first-fit); every other queued subtree then goes
-    first-fit.
+    {u,v}.  Queued subtrees on {u,x} are colored from that matching
+    first; every other queued subtree then goes first-fit.
     """
-    colored = frozenset(psi)
+    psi = state.psi
     qset = set(queue)
-    on_ux = subtrees_on_edge(inst, (u, x))
-    on_ux_set = set(on_ux)
-    colored_uv = {i for i in subtrees_on_edge(inst, (u, v)) if i in colored}
+    on_uv = set(subtrees_on_edge(state.inst, (u, v)))
     members = [
         i
-        for i in on_ux
-        if (i in colored and i not in colored_uv) or i in qset
+        for i in subtrees_on_edge(state.inst, (u, x))
+        if (i in psi and i not in on_uv) or i in qset
     ]
-    bip = _reuse_graph(inst, g, psi, colored, (u, x), members)
-    partner = _partner_map(bip, max_bipartite_matching(bip))
-    q_ux = [q for q in queue if q in on_ux_set]
-    for q in q_ux:
-        s = partner.get(q)
-        if s is not None and s in colored:
-            psi[q] = psi[s]
-    for q in q_ux:
-        if q in psi:
-            continue
-        s = partner.get(q)
-        if s is not None and s not in colored:
-            c = _shared_min_color(q, s, psi, g)
-            psi[q] = c
-            psi[s] = c
-        else:
-            psi[q] = first_fit_color(q, psi, g)
+    bip = _reuse_graph(state, (u, x), members)
+    _color_matched(state, [i for i in members if i in qset], bip)
     for q in queue:
         if q not in psi:
-            psi[q] = first_fit_color(q, psi, g)
+            state.assign(q, state.first_fit(q))
 
 
 @dataclass(frozen=True)
 class RoundState:
-    """Snapshot after one round: who was colored, with how many colors."""
+    """One round's delta: the edge, who was colored, and the colors in use after."""
 
     round: int
-    processed_edges: tuple[tuple[int, int], ...]
-    colored: frozenset[int]
+    edge: tuple[int, int]
     newly_colored: tuple[int, ...]
     colors_used_after: int
     kind: int
@@ -310,43 +301,31 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     if not inst.tree.degree_ok:
         raise InputError("greedy coloring requires host tree degree <= 3")
     order = bfs_edge_order(inst.tree, root)
-    g = build_conflict_graph(inst)
-    psi: dict[int, int] = {}
+    state = ArcColors(inst)
     trace: list[RoundState] = []
     choices: list[SchemeChoice] = []
-    prefix: list[tuple[int, int]] = []
-    for i in range(1, len(order.edges) + 1):
-        u, v = order.edges[i - 1]
+    for i, (u, v) in enumerate(order.edges, 1):
         et = classify_edge(order, i)
-        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in psi)
+        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
         if et.kind == 4:
-            psi1 = dict(psi)
-            process_edge_1(inst, g, psi1, queue, (u, v))
-            psi2 = dict(psi)
-            process_edge_2(inst, g, psi2, queue, u, v, et.w, et.x)
-            c1 = len(set(psi1.values()))
-            c2 = len(set(psi2.values()))
+            process_edge_1(state, queue, (u, v))
+            c1 = state.colors_used()
+            scheme1 = [state.psi[q] for q in queue]
+            for q in queue:
+                state.unassign(q)
+            process_edge_2(state, queue, u, v, et.w, et.x)
+            c2 = state.colors_used()
             if c1 <= c2:
-                psi = psi1
-                choices.append(SchemeChoice(i, (u, v), 1, c1, c2))
-            else:
-                psi = psi2
-                choices.append(SchemeChoice(i, (u, v), 2, c1, c2))
+                for q in queue:
+                    state.unassign(q)
+                for q, c in zip(queue, scheme1):
+                    state.assign(q, c)
+            choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
         else:
-            process_edge_simple(queue, psi, g)
-        prefix.append((u, v))
-        trace.append(
-            RoundState(
-                round=i,
-                processed_edges=tuple(prefix),
-                colored=frozenset(psi),
-                newly_colored=queue,
-                colors_used_after=len(set(psi.values())),
-                kind=et.kind,
-            )
-        )
+            process_edge_simple(state, queue)
+        trace.append(RoundState(i, (u, v), queue, state.colors_used(), et.kind))
     return GreedyResult(
-        coloring=Coloring(dict(psi)),
+        coloring=Coloring(state.psi),
         trace=tuple(trace),
         scheme_choices=tuple(choices),
         order=order,

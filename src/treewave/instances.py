@@ -51,7 +51,7 @@ class HostTree:
 
     @staticmethod
     def of(vertices: int, edges: Iterable[Sequence[int]]) -> "HostTree":
-        return HostTree(vertices, tuple((int(u), int(v)) for u, v in edges))
+        return HostTree(vertices, tuple((u, v) for u, v in edges))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -131,7 +131,7 @@ class RootedSubtree:
 
     @staticmethod
     def of(root: int, arcs: Iterable[Sequence[int]]) -> "RootedSubtree":
-        return RootedSubtree(int(root), tuple(Arc(int(t), int(h)) for t, h in arcs))
+        return RootedSubtree(root, tuple(Arc(t, h) for t, h in arcs))
 
     @cached_property
     def arc_set(self) -> frozenset[Arc]:

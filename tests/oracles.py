@@ -57,6 +57,20 @@ def coloring_valid_naive(inst, colors: dict[int, int]) -> bool:
     return True
 
 
+def first_fit_naive(inst, colors: dict[int, int], *subtrees: int) -> int:
+    """Smallest positive color used by no colored subtree that collides
+    with one of `subtrees`."""
+    forbidden = {
+        c
+        for j, c in colors.items()
+        if any(collide_naive(inst.subtrees[i], inst.subtrees[j]) for i in subtrees)
+    }
+    c = 1
+    while c in forbidden:
+        c += 1
+    return c
+
+
 def bfs_two_colorable(n: int, edges) -> bool:
     """2-colorability by BFS, ignoring any declared bipartition."""
     adj = [[] for _ in range(n)]

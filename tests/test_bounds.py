@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from oracles import brute_chromatic, brute_clique, conflict_pairs_naive
 from treewave import (
     Arc,
     ConflictGraph,
+    GenParams,
     HostTree,
     Instance,
     LimitError,
@@ -18,6 +21,7 @@ from treewave import (
     edge_lower_bound,
     exact_chromatic,
     first_fit_baseline,
+    generate_instance,
     global_lower_bound,
     greedy_color,
     load,
@@ -219,6 +223,26 @@ class TestMaxClique:
         size = max_clique(g)
         assert size == brute_clique(inst.size, conflict_pairs_naive(inst))
         assert size >= load(inst)
+
+
+@pytest.mark.parametrize("oracle", [exact_chromatic, max_clique])
+def test_oracles_leave_no_reference_cycles(oracle):
+    """Everything a search allocates is freed by reference counting, so
+    memory does not wait on the cyclic collector."""
+    graphs = [
+        build_conflict_graph(generate_instance(GenParams(7, 3, 22, (1, 4), seed=s)))
+        for s in range(40)
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for s, g in enumerate(graphs):
+            oracle(g)
+            assert gc.collect() == 0, f"seed {s}"
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestFirstFitBaseline:

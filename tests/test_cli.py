@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from treewave.cli import main
 from treewave.formats import dumps_instance
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -52,11 +55,20 @@ def test_color_no_normalize_and_baseline(inst_file, tmp_path):
     assert json.loads(out.read_text())["colors"] == [1, 1, 2]
 
 
-def test_color_trace_goes_to_stderr(inst_file, tmp_path, capsys):
+STAR_DEMO_TRACE = (
+    "round 1: edge (0, 1) kind 1 newly_colored=[0, 1, 2, 4, 5, 6] colors=3\n"
+    "round 2: edge (0, 2) kind 4 newly_colored=[7, 8, 9] colors=3\n"
+    "round 3: edge (0, 3) kind 3 newly_colored=[3, 10, 11, 12] colors=3\n"
+    "round 2: scheme 1 won (3 vs 3 colors)\n"
+)
+
+
+def test_color_trace_goes_to_stderr(tmp_path, capsys):
     out = tmp_path / "col.json"
-    assert main(["color", str(inst_file), "--trace", "-o", str(out)]) == 0
+    instance = GOLDEN / "star_demo_instance.json"
+    assert main(["color", str(instance), "--trace", "-o", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "round 1" in captured.err
+    assert captured.err == STAR_DEMO_TRACE
     assert captured.out == ""
 
 
@@ -93,6 +105,55 @@ def test_verify_accepts_padded_document(inst_file, tmp_path):
 
 def test_missing_file_exit_2(capsys):
     assert main(["color", "/nonexistent/zz.json"]) == 2
+
+
+P3_TEXT = (
+    '{"tree":{"vertices":3,"edges":[[0,1],[1,2]]},'
+    '"subtrees":[{"root":0,"arcs":[[0,1]]},{"root":1,"arcs":[[1,0]]},'
+    '{"root":0,"arcs":[[0,1],[1,2]]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "command, instance_text, coloring_text",
+    [
+        pytest.param(
+            "color", P3_TEXT.replace("[[0,1],[1,2]]}", "[[0.9,1],[1,2]]}"), None,
+            id="float_edge",
+        ),
+        pytest.param(
+            "color", P3_TEXT.replace('"root":1', '"root":"1"'), None, id="string_root"
+        ),
+        pytest.param(
+            "color", P3_TEXT.replace("[[1,0]]", "[[1,false]]"), None, id="bool_arc"
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[1.9,true,2]}', id="float_bool_colors"
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[1,1,2],"original_colors":[1.0]}',
+            id="float_original_colors",
+        ),
+        pytest.param(
+            "bound", '{"tree":{"vertices":true,"edges":[]},"subtrees":[]}', None,
+            id="bool_vertices",
+        ),
+    ],
+)
+def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, coloring_text):
+    """Input values are never coerced: anything but a JSON integer is
+    rejected with exit 2 and nothing on stdout."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance_text)
+    argv = [command, str(inst)]
+    if coloring_text is not None:
+        col = tmp_path / "col.json"
+        col.write_text(coloring_text)
+        argv.append(str(col))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_bench_csv_byte_stable(tmp_path):

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import collide_naive, coloring_valid_naive
+from oracles import collide_naive, coloring_valid_naive, first_fit_naive
 from treewave import (
     GenParams,
     HostTree,
@@ -21,7 +22,6 @@ from treewave import (
     classify_edge,
     exact_chromatic,
     first_fit_baseline,
-    first_fit_color,
     generate_instance,
     greedy_color,
     load,
@@ -32,7 +32,7 @@ from treewave import (
     subtrees_on_edge,
     sweep_items,
 )
-from treewave.greedy import _reuse_graph
+from treewave.greedy import ArcColors, _reuse_graph
 from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
 
@@ -95,57 +95,78 @@ class TestClassifyEdge:
             classify_edge(order, 3)
 
 
+def _state(inst, psi=()) -> ArcColors:
+    state = ArcColors(inst)
+    for i, c in dict(psi).items():
+        state.assign(i, c)
+    return state
+
+
 class TestFirstFit:
     def test_no_colored_neighbors(self, p3_demo):
-        g = build_conflict_graph(p3_demo)
-        assert first_fit_color(0, {}, g) == 1
+        assert _state(p3_demo).first_fit(0) == 1
 
     def test_skips_used(self, star_demo):
-        g = build_conflict_graph(star_demo)
         # subtree 1 collides with 0, 2 and 4
-        assert first_fit_color(1, {0: 1, 2: 2}, g) == 3
-        assert first_fit_color(1, {0: 1, 2: 3}, g) == 2
+        assert _state(star_demo, {0: 1, 2: 2}).first_fit(1) == 3
+        assert _state(star_demo, {0: 1, 2: 3}).first_fit(1) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_over_random_partial_colorings(self, seed):
+        inst = make_instance(seed)
+        rng = random.Random(seed)
+        state = ArcColors(inst)
+        for i in rng.sample(range(inst.size), inst.size):
+            c = rng.randint(1, 5)
+            if rng.random() < 0.7 and not any(
+                cj == c and collide_naive(inst.subtrees[i], inst.subtrees[j])
+                for j, cj in state.psi.items()
+            ):
+                state.assign(i, c)
+        for i in [i for i in state.psi if rng.random() < 0.3]:
+            state.unassign(i)
+        psi = dict(state.psi)
+        assert state.colors_used() == len(set(psi.values()))
+        uncolored = [i for i in range(inst.size) if i not in psi]
+        for i in uncolored:
+            assert state.first_fit(i) == first_fit_naive(inst, psi, i)
+        for i, j in itertools.combinations(uncolored, 2):
+            assert state.first_fit(i, j) == first_fit_naive(inst, psi, i, j)
 
 
 class TestProcessEdgeSimple:
     def test_empty_queue_no_change(self, p3_demo):
-        g = build_conflict_graph(p3_demo)
-        psi = {0: 1}
-        process_edge_simple((), psi, g)
-        assert psi == {0: 1}
+        state = _state(p3_demo, {0: 1})
+        process_edge_simple(state, ())
+        assert state.psi == {0: 1}
 
     def test_p3_demo_round1(self, p3_demo):
-        g = build_conflict_graph(p3_demo)
-        psi: dict[int, int] = {}
-        process_edge_simple((0, 1, 2), psi, g)
-        assert psi == {0: 1, 1: 1, 2: 2}
+        state = _state(p3_demo)
+        process_edge_simple(state, (0, 1, 2))
+        assert state.psi == {0: 1, 1: 1, 2: 2}
 
     def test_two_colliding_uncolored(self, p3_tree):
         dup = RootedSubtree.of(0, [[0, 1]])
-        inst = Instance(p3_tree, (dup, dup))
-        g = build_conflict_graph(inst)
-        psi: dict[int, int] = {}
-        process_edge_simple((0, 1), psi, g)
-        assert psi == {0: 1, 1: 2}
+        state = _state(Instance(p3_tree, (dup, dup)))
+        process_edge_simple(state, (0, 1))
+        assert state.psi == {0: 1, 1: 2}
 
 
 class TestProcessEdge1:
     def test_empty_queue_identity(self, p3_demo):
-        g = build_conflict_graph(p3_demo)
-        psi = {0: 1, 1: 1, 2: 2}
-        before = dict(psi)
-        process_edge_1(p3_demo, g, psi, (), (0, 1))
-        assert psi == before
+        state = _state(p3_demo, {0: 1, 1: 1, 2: 2})
+        process_edge_1(state, (), (0, 1))
+        assert state.psi == {0: 1, 1: 1, 2: 2}
 
     def test_single_inherit_via_matching(self, p3_tree):
         inst = Instance(
             p3_tree,
             (RootedSubtree.of(0, [[0, 1]]), RootedSubtree.of(1, [[1, 0]])),
         )
-        g = build_conflict_graph(inst)
-        psi = {0: 1}
-        process_edge_1(inst, g, psi, (1,), (0, 1))
-        assert psi[1] == 1
+        state = _state(inst, {0: 1})
+        process_edge_1(state, (1,), (0, 1))
+        assert state.psi[1] == 1
 
 
 class TestProcessEdge2:
@@ -157,12 +178,11 @@ class TestProcessEdge2:
                 RootedSubtree.of(0, [[0, 2]]),
             ),
         )
-        g = build_conflict_graph(inst)
-        psi_a: dict[int, int] = {}
-        process_edge_2(inst, g, psi_a, (0, 1), 0, 2, 1, 3)
-        psi_b: dict[int, int] = {}
-        process_edge_simple((0, 1), psi_b, g)
-        assert psi_a == psi_b == {0: 1, 1: 2}
+        state_a = _state(inst)
+        process_edge_2(state_a, (0, 1), 0, 2, 1, 3)
+        state_b = _state(inst)
+        process_edge_simple(state_b, (0, 1))
+        assert state_a.psi == state_b.psi == {0: 1, 1: 2}
 
     def test_queue_pairs_on_fork_edge_share_colors(self, star_tree):
         inst = Instance(
@@ -172,10 +192,9 @@ class TestProcessEdge2:
                 RootedSubtree.of(3, [[3, 0], [0, 2]]),
             ),
         )
-        g = build_conflict_graph(inst)
-        psi: dict[int, int] = {}
-        process_edge_2(inst, g, psi, (0, 1), 0, 2, 1, 3)
-        assert psi == {0: 1, 1: 1}
+        state = _state(inst)
+        process_edge_2(state, (0, 1), 0, 2, 1, 3)
+        assert state.psi == {0: 1, 1: 1}
 
 
 def _partial_valid(inst, psi) -> bool:
@@ -191,42 +210,59 @@ def _contiguous(psi) -> bool:
     return used == set(range(1, len(used) + 1))
 
 
+def _state_consistent(state) -> bool:
+    """Per-arc colors and color counts agree with the assignment."""
+    inst, psi = state.inst, state.psi
+    for arc, on_arc in inst.per_arc_index.items():
+        if state.arc_colors[arc] != {psi[i] for i in on_arc if i in psi}:
+            return False
+    counts: dict[int, int] = {}
+    for c in psi.values():
+        counts[c] = counts.get(c, 0) + 1
+    return state.color_count == counts
+
+
 def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
     """Mirror the round loop, checking subroutine invariants at every
     fork round; returns the final assignment and the fork-round count."""
     order = bfs_edge_order(inst.tree, 0)
-    g = build_conflict_graph(inst)
-    psi: dict[int, int] = {}
+    state = ArcColors(inst)
     forks = 0
     for i in range(1, len(order.edges) + 1):
         u, v = order.edges[i - 1]
         et = classify_edge(order, i)
-        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in psi)
+        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
         if et.kind != 4:
-            process_edge_simple(queue, psi, g)
-            assert _partial_valid(inst, psi)
+            process_edge_simple(state, queue)
+            assert _partial_valid(inst, state.psi)
+            assert _state_consistent(state)
             continue
         forks += 1
-        colored = frozenset(psi)
+        before = dict(state.psi)
+        colored = frozenset(before)
         qset = set(queue)
 
         # scheme 1 invariants
-        psi1 = dict(psi)
         members1 = [
             k for k in subtrees_on_edge(inst, (u, v)) if k in colored or k in qset
         ]
-        bip1 = _reuse_graph(inst, g, psi, colored, (u, v), members1)
+        bip1 = _reuse_graph(state, (u, v), members1)
         m1 = max_bipartite_matching(bip1)
-        process_edge_1(inst, g, psi1, queue, (u, v))
+        process_edge_1(state, queue, (u, v))
+        psi1 = dict(state.psi)
         assert _partial_valid(inst, psi1)
         assert set(queue) <= set(psi1)
         v1_colors = {psi1[k] for k in members1}
         assert len(v1_colors) <= len(members1) - m1.size
         for lp, rp in m1.pairs:
             assert psi1[bip1.left[lp]] == psi1[bip1.right[rp]]
+        assert _state_consistent(state)
+        c1 = state.colors_used()
+        for q in queue:
+            state.unassign(q)
+        assert state.psi == before and _state_consistent(state)
 
         # scheme 2 invariants
-        psi2 = dict(psi)
         on_ux = set(subtrees_on_edge(inst, (u, et.x)))
         colored_uv = {
             k for k in subtrees_on_edge(inst, (u, v)) if k in colored
@@ -236,9 +272,10 @@ def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
             for k in sorted(on_ux)
             if (k in colored and k not in colored_uv) or k in qset
         ]
-        bip2 = _reuse_graph(inst, g, psi, colored, (u, et.x), members2)
+        bip2 = _reuse_graph(state, (u, et.x), members2)
         m2 = max_bipartite_matching(bip2)
-        process_edge_2(inst, g, psi2, queue, u, v, et.w, et.x)
+        process_edge_2(state, queue, u, v, et.w, et.x)
+        psi2 = dict(state.psi)
         assert _partial_valid(inst, psi2)
         assert set(queue) <= set(psi2)
         if members2:
@@ -246,12 +283,13 @@ def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
             assert len(v2_colors) <= len(members2) - m2.size
         for lp, rp in m2.pairs:
             assert psi2[bip2.left[lp]] == psi2[bip2.right[rp]]
+        assert _state_consistent(state)
+        c2 = state.colors_used()
 
-        c1 = len(set(psi1.values()))
-        c2 = len(set(psi2.values()))
-        psi = psi1 if c1 <= c2 else psi2
-        assert _contiguous(psi)
-    return psi, forks
+        assert (c1, c2) == (len(set(psi1.values())), len(set(psi2.values())))
+        state = _state(inst, psi1 if c1 <= c2 else psi2)
+        assert _contiguous(state.psi)
+    return state.psi, forks
 
 
 class TestGreedyColor:
@@ -291,16 +329,15 @@ class TestGreedyColor:
     def test_trace_recurrences(self, seed):
         inst = make_instance(seed)
         res = greedy_color(inst)
-        previous: frozenset[int] = frozenset()
+        colored: set[int] = set()
         for rs in res.trace:
             expected_queue = tuple(
-                j
-                for j in subtrees_on_edge(inst, rs.processed_edges[-1])
-                if j not in previous
+                j for j in subtrees_on_edge(inst, rs.edge) if j not in colored
             )
             assert rs.newly_colored == expected_queue
-            assert rs.colored == previous | set(rs.newly_colored)
-            previous = rs.colored
+            assert colored.isdisjoint(rs.newly_colored)
+            colored |= set(rs.newly_colored)
+        assert sorted(colored) == list(range(inst.size))
         assert len(res.trace) == len(inst.tree.edges)
 
     @settings(max_examples=60, deadline=None)
@@ -366,7 +403,7 @@ def test_results_match_recorded_digest():
     for inst, root in _digest_cases():
         res = greedy_color(inst, root)
         rounds = [
-            (rs.kind, rs.processed_edges[-1], rs.newly_colored, rs.colors_used_after)
+            (rs.kind, rs.edge, rs.newly_colored, rs.colors_used_after)
             for rs in res.trace
         ]
         choices = [
