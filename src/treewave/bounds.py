@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .conflict import ConflictGraph, build_conflict_graph, edge_complement_bipartite
+from .conflict import ConflictGraph, _complement_bipartite, build_conflict_graph
 from .greedy import ArcColors
 from .instances import (
     Arc,
@@ -57,20 +57,27 @@ def normalize(inst: Instance) -> NormalizedInstance:
     """Pad with single-arc subtrees (rooted at the arc tail) until uniform.
 
     Padding is appended per undirected edge in input order, (min,max)
-    direction before (max,min), so the result is deterministic.
+    direction before (max,min), so the result is deterministic.  `inst`
+    is already validated and a single-arc subtree rooted at its tail is
+    valid, so the padded instance is built unchecked; its per-arc index
+    extends the original one, each arc's padding taking the next
+    positions in order.
     """
     target = load(inst)
     padding: list[RootedSubtree] = []
     per_arc: dict[Arc, int] = {}
+    index = dict(inst.per_arc_index)
     for u, v in inst.tree.edges:
         a, b = edge_key(u, v)
         for arc in (Arc(a, b), Arc(b, a)):
-            deficit = target - len(inst.per_arc_index.get(arc, ()))
+            on_arc = index.get(arc, ())
+            deficit = target - len(on_arc)
             per_arc[arc] = deficit
-            padding.extend(
-                RootedSubtree(arc.tail, (arc,)) for _ in range(deficit)
-            )
-    padded = Instance(inst.tree, inst.subtrees + tuple(padding))
+            if deficit:
+                start = inst.size + len(padding)
+                index[arc] = on_arc + tuple(range(start, start + deficit))
+                padding.extend([RootedSubtree(arc.tail, (arc,))] * deficit)
+    padded = Instance._trusted(inst.tree, inst.subtrees + tuple(padding), index)
     return NormalizedInstance(padded, inst.size, per_arc)
 
 
@@ -84,7 +91,7 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     population = subtrees_on_edge(inst, edge)
     if not population:
         return 0
-    comp = edge_complement_bipartite(inst, edge, population)
+    comp = _complement_bipartite(inst, edge, population)
     return len(population) - max_bipartite_matching(comp).size
 
 

@@ -6,15 +6,20 @@ Restricted to the subtrees present on a single host edge, each direction
 is a clique, so the complement of that restriction is bipartite with the
 two directions as sides; that complement is what the matching-based
 coloring steps and the per-edge lower bound work on.
+
+`edge_complement_bipartite` checks its edge and subset and then calls
+the unchecked builder `_complement_bipartite`, which the greedy colorer
+and the per-edge lower bound call directly on populations they read off
+the instance's own index; neither path builds a graph twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .instances import Arc, Instance, InputError, collide, edge_key
+from .instances import Arc, Instance, InputError, edge_key, subtrees_on_edge
 
 
 @dataclass(frozen=True)
@@ -73,20 +78,43 @@ class BipartiteGraph:
     """Bipartite graph over two lists of original subtree indices.
 
     Edges are (left position, right position) pairs into those lists.
+    The sides are disjoint and every edge is in range and listed once;
+    `edge_complement_bipartite` ensures this by checking its subset, so
+    the graph re-checks nothing.
     """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if set(self.left) & set(self.right):
-            raise InputError("bipartite sides overlap")
-        for lp, rp in self.edges:
-            if not (0 <= lp < len(self.left) and 0 <= rp < len(self.right)):
-                raise InputError(f"edge ({lp},{rp}) out of range")
-        if len(set(self.edges)) != len(self.edges):
-            raise InputError("duplicate bipartite edges")
+
+def _complement_bipartite(
+    inst: Instance,
+    edge: Sequence[int],
+    members: Sequence[int],
+    keep: Callable[[int, int], bool] | None = None,
+) -> BipartiteGraph:
+    """Unchecked core of `edge_complement_bipartite`.
+
+    `members` must be ascending, distinct and present on the host edge
+    `edge`.  A non-colliding pair (i, j), i on the (min,max) direction,
+    becomes an edge unless `keep(i, j)` is false; edges come out in
+    (left, right) order.
+    """
+    fwd = Arc(*edge_key(*edge))
+    subtrees = inst.subtrees
+    left: list[int] = []
+    right: list[int] = []
+    for i in members:
+        (left if fwd in subtrees[i].arc_set else right).append(i)
+    right_arcs = [subtrees[j].arc_set for j in right]
+    edges = []
+    for lp, i in enumerate(left):
+        arcs_i = subtrees[i].arc_set
+        for rp, j in enumerate(right):
+            if arcs_i.isdisjoint(right_arcs[rp]) and (keep is None or keep(i, j)):
+                edges.append((lp, rp))
+    return BipartiteGraph(tuple(left), tuple(right), tuple(edges))
 
 
 def edge_complement_bipartite(
@@ -97,25 +125,14 @@ def edge_complement_bipartite(
     Left side is the subset on the (min,max) direction, right side the
     (max,min) direction; a pair is joined iff the two subtrees do NOT
     collide.  Each side is a clique in the conflict graph, so the result
-    is bipartite by construction.
+    is bipartite by construction.  Rejects an edge not in the host tree
+    and a subset with duplicates or with subtrees not on the edge.
     """
-    u, v = edge
-    if not inst.tree.has_edge(u, v):
-        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
-    a, b = edge_key(u, v)
-    fwd = set(inst.per_arc_index.get(Arc(a, b), ()))
-    bwd = set(inst.per_arc_index.get(Arc(b, a), ()))
+    on_edge = set(subtrees_on_edge(inst, edge))
     if len(set(subset)) != len(subset):
         raise InputError("subset contains duplicate indices")
     for i in subset:
-        if i not in fwd and i not in bwd:
+        if i not in on_edge:
+            a, b = edge_key(*edge)
             raise InputError(f"subtree {i} is not present on edge {{{a},{b}}}")
-    left = tuple(sorted(i for i in subset if i in fwd))
-    right = tuple(sorted(i for i in subset if i in bwd))
-    edges = []
-    for lp, i in enumerate(left):
-        si = inst.subtrees[i]
-        for rp, j in enumerate(right):
-            if not collide(si, inst.subtrees[j]):
-                edges.append((lp, rp))
-    return BipartiteGraph(left, right, tuple(edges))
+    return _complement_bipartite(inst, edge, sorted(subset))

@@ -11,8 +11,10 @@ ends the round with fewer distinct colors in use.
 
 Two subtrees conflict exactly when they share an arc, so the state is
 kept per arc (`ArcColors`) and no conflict graph is built.  A fork round
-undoes the losing scheme subtree by subtree; the trace keeps per-round
-deltas.
+builds its reuse graph in one unchecked pass over the edge's population,
+read off the instance's own index, and undoes the losing scheme subtree
+by subtree; the trace keeps per-round deltas.  The instance was
+validated when it was built; nothing here checks it again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .conflict import BipartiteGraph, edge_complement_bipartite
+from .conflict import BipartiteGraph, _complement_bipartite
 from .instances import (
     Arc,
     Coloring,
@@ -127,12 +129,17 @@ class ArcColors:
         self.arc_colors: dict[Arc, set[int]] = {a: set() for a in inst.per_arc_index}
         self.color_count: dict[int, int] = {}
 
-    def first_fit(self, *subtrees: int) -> int:
-        """Smallest positive color on no arc of any of the given subtrees."""
-        forbidden: set[int] = set()
+    def colors_on(self, *subtrees: int) -> set[int]:
+        """Colors on any arc of the given subtrees."""
+        colors: set[int] = set()
         for i in subtrees:
             for a in self.inst.subtrees[i].arcs:
-                forbidden |= self.arc_colors[a]
+                colors |= self.arc_colors[a]
+        return colors
+
+    def first_fit(self, *subtrees: int) -> int:
+        """Smallest positive color on no arc of any of the given subtrees."""
+        forbidden = self.colors_on(*subtrees)
         c = 1
         while c in forbidden:
             c += 1
@@ -165,29 +172,26 @@ def process_edge_simple(state: ArcColors, queue: Sequence[int]) -> None:
 def _reuse_graph(
     state: ArcColors, edge: tuple[int, int], members: Sequence[int]
 ) -> BipartiteGraph:
-    """Pairs of `members` (population of one host edge) that may share a color.
+    """Pairs of `members` (ascending, on one host edge) that may share a color.
 
-    Starts from the complement of the conflict graph restricted to the
-    edge (bipartite by direction) and drops the pairs that must not be
-    merged: two colored subtrees with different colors, and
-    uncolored/colored pairs where the colored one's color already sits
-    on an arc of the uncolored one.
+    The complement of the conflict graph restricted to the edge
+    (bipartite by direction), without the pairs that must not be merged:
+    two colored subtrees with different colors, and uncolored/colored
+    pairs where the colored one's color already sits on an arc of the
+    uncolored one.
     """
-    base = edge_complement_bipartite(state.inst, edge, members)
     psi = state.psi
-    kept = []
-    for lp, rp in base.edges:
-        i, j = base.left[lp], base.right[rp]
+    near = {q: state.colors_on(q) for q in members if q not in psi}
+
+    def may_share(i: int, j: int) -> bool:
         ci, cj = psi.get(i), psi.get(j)
-        if ci is not None and cj is not None:
-            if ci != cj:
-                continue
-        elif ci is not None or cj is not None:
-            q, c = (j, ci) if ci is not None else (i, cj)
-            if any(c in state.arc_colors[a] for a in state.inst.subtrees[q].arcs):
-                continue
-        kept.append((lp, rp))
-    return BipartiteGraph(base.left, base.right, tuple(kept))
+        if ci is None:
+            return cj is None or cj not in near[i]
+        if cj is None:
+            return ci not in near[j]
+        return ci == cj
+
+    return _complement_bipartite(state.inst, edge, members, may_share)
 
 
 def _color_matched(

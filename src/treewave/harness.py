@@ -71,7 +71,9 @@ def generate_instance(p: GenParams) -> Instance:
     starts at a uniform random root and repeatedly claims a uniformly
     random outward arc on its frontier until it reaches a target size
     drawn from the configured range (or runs out of tree).  Draw order
-    per subtree: root, then target size, then frontier picks.
+    per subtree: root, then target size, then frontier picks.  Both
+    steps yield a valid tree and valid subtrees by construction, so the
+    instance is built unchecked.
     """
     rng = XorShift64Star(p.seed)
     n = p.num_vertices
@@ -102,7 +104,7 @@ def generate_instance(p: GenParams) -> Instance:
                 Arc(arc.head, nb) for nb in adjacency[arc.head] if nb not in visited
             )
         subtrees.append(RootedSubtree(root, tuple(arcs)))
-    return Instance(tree, tuple(subtrees))
+    return Instance._trusted(tree, tuple(subtrees))
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,13 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
 class Instance:
     """Host tree plus an ordered multiset of rooted subtrees.
 
-    Construction validates everything except the degree-3 restriction,
-    which only the greedy colorer enforces (generators and the exact
-    oracles are degree-agnostic).
+    `Instance(tree, subtrees)` validates everything except the degree-3
+    restriction, which only the greedy colorer enforces (generators and
+    the exact oracles are degree-agnostic).  Input is validated once,
+    where it enters; `Instance._trusted` skips the checks and is only for
+    producers inside the package whose output is valid by construction
+    (`normalize` padding a validated instance, `generate_instance`
+    growing a tree and its subtrees).
     """
 
     tree: HostTree
@@ -223,6 +227,26 @@ class Instance:
             srep = validate_subtree(self.tree, s)
             if not srep.ok:
                 raise InputError(f"invalid subtree {i}: " + "; ".join(srep.violations))
+
+    @classmethod
+    def _trusted(
+        cls,
+        tree: HostTree,
+        subtrees: tuple[RootedSubtree, ...],
+        per_arc_index: Mapping[Arc, tuple[int, ...]] | None = None,
+    ) -> "Instance":
+        """An instance built without validation, optionally with its index.
+
+        The caller guarantees what `__post_init__` would check, and that a
+        given `per_arc_index` equals the one this instance would compute.
+        Never call it on data that came from outside the package.
+        """
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "tree", tree)
+        object.__setattr__(inst, "subtrees", subtrees)
+        if per_arc_index is not None:
+            inst.__dict__["per_arc_index"] = per_arc_index
+        return inst
 
     @cached_property
     def per_arc_index(self) -> Mapping[Arc, tuple[int, ...]]:

@@ -5,15 +5,18 @@ arc lists, chromatic numbers come from exhaustive backtracking,
 cliques from subset enumeration, matchings from take/skip recursion on
 the edge list or from memoized exhaustive search, and bipartiteness from
 BFS 2-coloring.  Keep it that way; these exist to certify the fast paths.
-The one exception is `kuhn_recursive`, the recursive form of the
-package's matching search, kept as the reference its pairs must equal.
+The exceptions are references for fast paths that must reproduce an
+earlier form exactly: `kuhn_recursive`, the recursive form of the
+package's matching search, whose pairs the package must equal, and
+`reuse_graph_reference`, the greedy's reuse graph built from the checked
+`edge_complement_bipartite`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from treewave import LimitError
+from treewave import BipartiteGraph, LimitError, edge_complement_bipartite
 
 BRUTE_FORCE_GUARD = 24
 
@@ -220,3 +223,25 @@ def kuhn_recursive(g) -> tuple[tuple[int, int], ...]:
     for l in range(len(g.left)):
         augment(l, [False] * len(g.right))
     return tuple((l, r) for l, r in enumerate(match_l) if r != -1)
+
+
+def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
+    """The greedy's reuse graph as first written: the checked complement of
+    one edge's population, then a second pass dropping the pairs that may
+    not share a color (two colored with different colors; an uncolored one
+    whose arcs already carry the colored one's color)."""
+    base = edge_complement_bipartite(state.inst, edge, members)
+    psi = state.psi
+    kept = []
+    for lp, rp in base.edges:
+        i, j = base.left[lp], base.right[rp]
+        ci, cj = psi.get(i), psi.get(j)
+        if ci is not None and cj is not None:
+            if ci != cj:
+                continue
+        elif ci is not None or cj is not None:
+            q, c = (j, ci) if ci is not None else (i, cj)
+            if any(c in state.arc_colors[a] for a in state.inst.subtrees[q].arcs):
+                continue
+        kept.append((lp, rp))
+    return BipartiteGraph(base.left, base.right, tuple(kept))

@@ -30,7 +30,9 @@ from treewave import (
     subtrees_on_arc,
     verify_coloring,
 )
+from treewave import instances
 from treewave.conflict import edge_complement_bipartite
+from treewave.formats import dumps_instance, loads_instance
 from treewave.matching import max_bipartite_matching
 
 TRIANGLE_PLUS_ISOLATED = ((1, 2), (0, 2), (0, 1), ())
@@ -83,6 +85,34 @@ class TestNormalize:
         for s in norm.padded.subtrees[norm.original_count :]:
             assert len(s.arcs) == 1
             assert s.root == s.arcs[0].tail
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unchecked_padding_equals_a_validated_rebuild(self, seed):
+        """The padded instance is built unchecked with an index extended
+        from the original; a validating rebuild accepts it and computes
+        the same index, key order included."""
+        padded = normalize(make_instance(seed, max_vertices=16, max_subtrees=24)).padded
+        checked = Instance(padded.tree, padded.subtrees)
+        assert padded.per_arc_index == checked.per_arc_index
+        assert list(padded.per_arc_index) == list(checked.per_arc_index)
+
+    def test_subtrees_validated_once_at_load(self, monkeypatch):
+        calls = []
+        validate = instances.validate_subtree
+
+        def counting(tree, s):
+            calls.append(s)
+            return validate(tree, s)
+
+        monkeypatch.setattr(instances, "validate_subtree", counting)
+        inst = generate_instance(GenParams(12, 3, 15, (1, 4), seed=3))
+        assert calls == []
+        inst = loads_instance(dumps_instance(inst))
+        assert len(calls) == inst.size == 15
+        calls.clear()
+        assert normalize(inst).padding_count > 0
+        assert calls == []
 
 
 class TestEdgeLowerBound:

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treewave import GenParams, generate_instance, greedy_color, normalize
 from treewave.cli import main
-from treewave.formats import dumps_instance
+from treewave.formats import dumps_coloring, dumps_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -154,6 +161,99 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+# json.dumps writes NaN and Infinity, which json.loads reads back as floats
+JSON_SCALARS = st.one_of(
+    st.integers(-3, 12), st.floats(), st.text(max_size=3), st.booleans(), st.none()
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Paths (key and index tuples) to every node of a JSON document."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, data) -> str:
+    """`doc` with one node replaced, deleted or (in a list) duplicated."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if not path:
+        doc = data.draw(JSON_VALUES)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["color", "bound", "exact", "verify"]),
+    vertices=st.integers(2, 7),
+    count=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_mutated_documents_never_raise(command, vertices, count, seed, data):
+    """Every input document either works or exits 2 with a message: no
+    single-field mutation of a valid instance or coloring reaches a
+    traceback, and so none reaches the unchecked internal paths."""
+    inst = generate_instance(GenParams(vertices, 3, count, (1, 3), seed))
+    inst_doc = json.loads(dumps_instance(inst))
+    inst_text = json.dumps(inst_doc)
+    norm = normalize(inst)
+    col_doc = json.loads(
+        dumps_coloring(
+            greedy_color(norm.padded).coloring.color_list(norm.padded.size),
+            original_count=norm.original_count,
+        )
+    )
+    col_text = json.dumps(col_doc)
+    if command == "verify" and data.draw(st.booleans()):
+        col_text = _mutated(col_doc, data)
+    else:
+        inst_text = _mutated(inst_doc, data)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = Path(tmp) / "inst.json"
+        inst_path.write_text(inst_text)
+        argv = [command, str(inst_path)]
+        if command == "verify":
+            col_path = Path(tmp) / "col.json"
+            col_path.write_text(col_text)
+            argv.append(str(col_path))
+        elif command == "color":
+            argv += ["--root", str(data.draw(st.integers(-1, 7)))]
+            if data.draw(st.booleans()):
+                argv.append("--no-normalize")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
 
 
 def test_bench_csv_byte_stable(tmp_path):

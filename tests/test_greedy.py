@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import collide_naive, coloring_valid_naive, first_fit_naive
+from oracles import (
+    collide_naive,
+    coloring_valid_naive,
+    first_fit_naive,
+    reuse_graph_reference,
+)
 from treewave import (
     GenParams,
     HostTree,
@@ -247,6 +252,7 @@ def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
             k for k in subtrees_on_edge(inst, (u, v)) if k in colored or k in qset
         ]
         bip1 = _reuse_graph(state, (u, v), members1)
+        assert bip1 == reuse_graph_reference(state, (u, v), members1)
         m1 = max_bipartite_matching(bip1)
         process_edge_1(state, queue, (u, v))
         psi1 = dict(state.psi)
@@ -273,6 +279,7 @@ def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
             if (k in colored and k not in colored_uv) or k in qset
         ]
         bip2 = _reuse_graph(state, (u, et.x), members2)
+        assert bip2 == reuse_graph_reference(state, (u, et.x), members2)
         m2 = max_bipartite_matching(bip2)
         process_edge_2(state, queue, u, v, et.w, et.x)
         psi2 = dict(state.psi)
@@ -371,6 +378,19 @@ def test_subroutine_invariants_on_fork_rounds():
         forks_seen += forks
         res = greedy_color(inst)
         assert dict(res.coloring.assignment) == psi
+    assert forks_seen >= 60
+
+
+def test_reuse_graph_matches_reference_on_normalized_forks():
+    """The one-pass reuse graph equals the checked complement plus filter,
+    sides and edge order included, on every fork round of normalized
+    instances (checked inside the replay)."""
+    forks_seen = 0
+    for seed in range(60):
+        padded = normalize(make_instance(seed, max_vertices=14, max_subtrees=16)).padded
+        psi, forks = _replay_with_subroutine_checks(padded)
+        forks_seen += forks
+        assert dict(greedy_color(padded).coloring.assignment) == psi
     assert forks_seen >= 60
 
 

@@ -10,6 +10,7 @@ from treewave import (
     Coloring,
     GenParams,
     InputError,
+    Instance,
     SweepSpec,
     bench_run,
     build_conflict_graph,
@@ -51,22 +52,31 @@ class TestGenParams:
 
 
 class TestGenerateInstance:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        vertices=st.integers(2, 12),
+        vertices=st.integers(1, 30),
         degree=st.sampled_from([2, 3]),
-        count=st.integers(0, 12),
+        count=st.integers(0, 24),
+        lo=st.integers(1, 6),
+        extra=st.integers(0, 6),
     )
-    def test_generated_instances_validate(self, seed, vertices, degree, count):
-        params = GenParams(vertices, degree, count, (1, 4), seed)
+    def test_generated_instances_validate(self, seed, vertices, degree, count, lo, extra):
+        """`generate_instance` builds its instance unchecked; this is the
+        property that makes that safe."""
+        count = count if vertices > 1 else 0
+        params = GenParams(vertices, degree, count, (lo, lo + extra), seed)
         inst = generate_instance(params)
         rep = validate_tree(inst.tree)
         assert rep.ok and rep.degree_ok
         assert all(inst.tree.degree(v) <= degree for v in range(vertices))
         for s in inst.subtrees:
             assert validate_subtree(inst.tree, s).ok
+            assert 1 <= len(s.arcs) <= lo + extra
         assert inst.size == count
+        checked = Instance(inst.tree, inst.subtrees)
+        assert checked == inst
+        assert checked.per_arc_index == inst.per_arc_index
 
     def test_same_seed_same_bytes(self):
         params = GenParams(9, 3, 7, (1, 4), 123456789)
