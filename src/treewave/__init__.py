@@ -7,7 +7,6 @@ and a generation/verification/bench harness with a CLI.
 """
 
 from .bounds import (
-    BoundsReport,
     NormalizedInstance,
     compute_bounds,
     edge_lower_bound,
@@ -24,11 +23,7 @@ from .conflict import (
     edge_complement_bipartite,
 )
 from .greedy import (
-    EdgeOrder,
-    EdgeType,
     GreedyResult,
-    RoundState,
-    SchemeChoice,
     bfs_edge_order,
     classify_edge,
     greedy_color,
@@ -38,11 +33,8 @@ from .greedy import (
 )
 from .harness import (
     BenchItem,
-    BenchOutcome,
-    BenchRecord,
     GenParams,
     SweepSpec,
-    VerifyReport,
     bench_run,
     generate_instance,
     round_bound_violations,
@@ -65,7 +57,7 @@ from .instances import (
     validate_subtree,
     validate_tree,
 )
-from .matching import Matching, max_bipartite_matching
+from .matching import max_bipartite_matching
 
 __version__ = "0.1.0"
 
@@ -75,14 +67,9 @@ kernel_backend = "pure"
 __all__ = [
     "Arc",
     "BenchItem",
-    "BenchOutcome",
-    "BenchRecord",
     "BipartiteGraph",
-    "BoundsReport",
     "Coloring",
     "ConflictGraph",
-    "EdgeOrder",
-    "EdgeType",
     "GenParams",
     "GreedyResult",
     "HostTree",
@@ -90,13 +77,9 @@ __all__ = [
     "Instance",
     "InternalError",
     "LimitError",
-    "Matching",
     "NormalizedInstance",
     "RootedSubtree",
-    "RoundState",
-    "SchemeChoice",
     "SweepSpec",
-    "VerifyReport",
     "bench_run",
     "bfs_edge_order",
     "build_conflict_graph",

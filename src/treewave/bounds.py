@@ -46,7 +46,6 @@ class NormalizedInstance:
 
     padded: Instance
     original_count: int
-    padding_per_arc: Mapping[Arc, int]
 
     @property
     def padding_count(self) -> int:
@@ -65,20 +64,18 @@ def normalize(inst: Instance) -> NormalizedInstance:
     """
     target = load(inst)
     padding: list[RootedSubtree] = []
-    per_arc: dict[Arc, int] = {}
     index = dict(inst.per_arc_index)
     for u, v in inst.tree.edges:
         a, b = edge_key(u, v)
         for arc in (Arc(a, b), Arc(b, a)):
             on_arc = index.get(arc, ())
             deficit = target - len(on_arc)
-            per_arc[arc] = deficit
             if deficit:
                 start = inst.size + len(padding)
                 index[arc] = on_arc + tuple(range(start, start + deficit))
                 padding.extend([RootedSubtree(arc.tail, (arc,))] * deficit)
     padded = Instance._trusted(inst.tree, inst.subtrees + tuple(padding), index)
-    return NormalizedInstance(padded, inst.size, per_arc)
+    return NormalizedInstance(padded, inst.size)
 
 
 def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
@@ -325,12 +322,7 @@ class BoundsReport:
     exact_chromatic: int | None = None
 
 
-def compute_bounds(
-    inst: Instance,
-    with_clique: bool = True,
-    with_exact: bool = True,
-    limit: int = ORACLE_GUARD,
-) -> BoundsReport:
+def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     """Bounds report; the exact quantities are skipped when over the guard."""
     per_edge = {
         edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in inst.tree.edges
@@ -338,12 +330,10 @@ def compute_bounds(
     glb = max(per_edge.values(), default=0)
     clique = None
     chi = None
-    if (with_clique or with_exact) and inst.size <= limit:
+    if inst.size <= limit:
         g = build_conflict_graph(inst)
-        if with_clique:
-            clique = max_clique(g, limit)
-        if with_exact:
-            chi = exact_chromatic(g, limit)[0]
+        clique = max_clique(g, limit)
+        chi = exact_chromatic(g, limit)[0]
     return BoundsReport(
         load=load(inst),
         per_edge_bound=per_edge,

@@ -43,9 +43,12 @@ from .instances import Coloring, InputError, LimitError
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot decode {path}: {e}") from e
 
 
 def _write_text(text: str, out: str | None) -> None:

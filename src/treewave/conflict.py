@@ -40,10 +40,6 @@ class ConflictGraph:
             masks.append(m)
         return tuple(masks)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
     def induced(self, subset: Sequence[int]) -> "ConflictGraph":
         """Subgraph on `subset` (positions renumbered in the given order)."""
         pos = {v: k for k, v in enumerate(subset)}

@@ -37,7 +37,7 @@ def _int(value) -> int:
 def loads_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"not valid JSON: {e}") from e
     try:
         tree_doc = doc["tree"]
@@ -75,7 +75,7 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
         original = doc.get("original_colors")
         if original is not None:
             original = [_int(c) for c in original]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed coloring document: {e}") from e
     if any(c < 1 for c in colors) or (original and any(c < 1 for c in original)):
         raise InputError("colors must be positive integers")

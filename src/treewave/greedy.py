@@ -43,12 +43,7 @@ class EdgeOrder:
     """Host tree edges in BFS discovery order, earlier endpoint first."""
 
     tree: HostTree
-    root: int
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def parent_side(self) -> tuple[int, ...]:
-        return tuple(e[0] for e in self.edges)
 
     @cached_property
     def position(self) -> dict[tuple[int, int], int]:
@@ -73,7 +68,7 @@ def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
                 queue.append(w)
     if len(edges) != len(tree.edges):
         raise InternalError("BFS did not reach every edge of a valid tree")
-    return EdgeOrder(tree=tree, root=root, edges=tuple(edges))
+    return EdgeOrder(tree=tree, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -293,7 +288,6 @@ class GreedyResult:
     coloring: Coloring
     trace: tuple[RoundState, ...]
     scheme_choices: tuple[SchemeChoice, ...]
-    order: EdgeOrder
 
 
 def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
@@ -332,5 +326,4 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
         coloring=Coloring(state.psi),
         trace=tuple(trace),
         scheme_choices=tuple(choices),
-        order=order,
     )

@@ -190,6 +190,8 @@ class SweepSpec:
             raise InputError("instance count must be >= 0")
         if self.max_vertices < 2:
             raise InputError("max_vertices must be >= 2")
+        if self.max_subtrees < 0:
+            raise InputError("max_subtrees must be >= 0")
         if not (1 <= self.min_arcs <= self.max_arcs):
             raise InputError("arc range must satisfy 1 <= min <= max")
 

@@ -66,9 +66,6 @@ class HostTree:
                 nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def degree_ok(self) -> bool:
         """True iff every vertex has degree <= 3 (what the greedy colorer needs)."""

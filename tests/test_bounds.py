@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from oracles import brute_chromatic, brute_clique, conflict_pairs_naive
 from treewave import (
-    Arc,
     ConflictGraph,
     GenParams,
     HostTree,
@@ -41,15 +40,16 @@ TRIANGLE_PLUS_ISOLATED = ((1, 2), (0, 2), (0, 1), ())
 class TestNormalize:
     def test_p3_demo_padding(self, p3_demo):
         norm = normalize(p3_demo)
-        assert dict(norm.padding_per_arc) == {
-            Arc(0, 1): 0,
-            Arc(1, 0): 1,
-            Arc(1, 2): 1,
-            Arc(2, 1): 2,
-        }
         assert norm.padded.size == 7
         assert norm.original_count == 3
         assert norm.padded.subtrees[:3] == p3_demo.subtrees
+        # deficits: (0,1) none, (1,0) one, (1,2) one, (2,1) two
+        assert norm.padded.subtrees[3:] == (
+            RootedSubtree.of(1, [[1, 0]]),
+            RootedSubtree.of(1, [[1, 2]]),
+            RootedSubtree.of(2, [[2, 1]]),
+            RootedSubtree.of(2, [[2, 1]]),
+        )
 
     def test_uniform_instance_zero_padding(self, p3_tree):
         inst = Instance(
@@ -68,7 +68,7 @@ class TestNormalize:
     def test_empty_instance(self, p3_tree):
         norm = normalize(Instance(p3_tree, ()))
         assert norm.padded.size == 0
-        assert all(c == 0 for c in norm.padding_per_arc.values())
+        assert norm.padding_count == 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -42,6 +42,13 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_negative_max_subtrees_exit_2(capsys):
+    assert main(["bench", "--instances", "2", "--max-subtrees", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_color_default_normalizes(inst_file, tmp_path):
     out = tmp_path / "col.json"
     assert main(["color", str(inst_file), "-o", str(out)]) == 0
@@ -145,18 +152,27 @@ P3_TEXT = (
             "bound", '{"tree":{"vertices":true,"edges":[]},"subtrees":[]}', None,
             id="bool_vertices",
         ),
+        pytest.param("color", b"\xff\xfe{}", None, id="non_utf8_instance"),
+        pytest.param("verify", P3_TEXT, b'{"colors":[1,1,2]}\xff', id="non_utf8_coloring"),
+        pytest.param("bound", "[" * 1000, None, id="deep_instance"),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":' + "[" * 1000 + "]" * 1000 + "}",
+            id="deep_coloring",
+        ),
     ],
 )
 def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, coloring_text):
     """Input values are never coerced: anything but a JSON integer is
-    rejected with exit 2 and nothing on stdout."""
-    inst = tmp_path / "inst.json"
-    inst.write_text(instance_text)
-    argv = [command, str(inst)]
+    rejected with exit 2 and nothing on stdout, and so are documents that
+    are not UTF-8 or nest deeper than the JSON parser can follow."""
+
+    def write(path, text):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return str(path)
+
+    argv = [command, write(tmp_path / "inst.json", instance_text)]
     if coloring_text is not None:
-        col = tmp_path / "col.json"
-        col.write_text(coloring_text)
-        argv.append(str(col))
+        argv.append(write(tmp_path / "col.json", coloring_text))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
@@ -253,6 +269,60 @@ def test_mutated_documents_never_raise(command, vertices, count, seed, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+
+
+SMALL_INTS = st.integers(-2, 6)
+NUMERIC_FLAGS = {
+    "gen": {
+        "--vertices": SMALL_INTS,
+        "--max-degree": st.integers(1, 4),
+        "--subtrees": SMALL_INTS,
+        "--min-arcs": SMALL_INTS,
+        "--max-arcs": SMALL_INTS,
+        "--seed": SMALL_INTS,
+    },
+    "bench": {
+        "--instances": st.integers(-1, 3),
+        "--seed": SMALL_INTS,
+        "--max-vertices": SMALL_INTS,
+        "--max-degree": st.integers(1, 4),
+        "--max-subtrees": SMALL_INTS,
+        "--min-arcs": SMALL_INTS,
+        "--max-arcs": SMALL_INTS,
+        "--root": SMALL_INTS,
+        "--exact-limit": st.integers(-2, 16),
+    },
+    "color": {"--root": SMALL_INTS},
+    "exact": {"--limit": st.integers(-2, 16)},
+    "bound": {"--limit": st.integers(-2, 16)},
+}
+# flags always set: gen's required ones, and a bounded bench sweep
+REQUIRED = {"--vertices", "--subtrees", "--seed", "--instances"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(NUMERIC_FLAGS)), data=st.data())
+def test_numeric_flags_never_raise(command, data):
+    """Any subset of a subcommand's integer flags, each set to a small value
+    (negatives and out-of-range ones included), exits 0, 1 or 2, and exit 2
+    comes with an error line and nothing on stdout.  An argparse rejection
+    (`--max-degree` outside its choices) is exit 2 through SystemExit."""
+    argv = [command]
+    if command in ("color", "exact", "bound"):
+        argv.append(str(GOLDEN / "star_demo_instance.json"))
+    for flag, values in NUMERIC_FLAGS[command].items():
+        if flag in REQUIRED or data.draw(st.booleans()):
+            argv += [flag, str(data.draw(values))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err.getvalue()
         assert out.getvalue() == ""
 
 

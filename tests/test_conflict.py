@@ -29,7 +29,7 @@ class TestBuildConflictGraph:
             (RootedSubtree.of(0, [[0, 1]]), RootedSubtree.of(2, [[2, 3]])),
         )
         g = build_conflict_graph(inst)
-        assert g.edge_count == 0
+        assert all(not nb for nb in g.adjacency)
 
     def test_duplicates_form_complete_graph(self, p3_tree):
         dup = RootedSubtree.of(0, [[0, 1]])

@@ -46,7 +46,6 @@ class TestBfsEdgeOrder:
     def test_p3_from_end(self, p3_tree):
         order = bfs_edge_order(p3_tree, 0)
         assert order.edges == ((0, 1), (1, 2))
-        assert order.parent_side == (0, 1)
 
     def test_star_ascending_neighbors(self, star_tree):
         order = bfs_edge_order(star_tree, 0)
@@ -55,7 +54,6 @@ class TestBfsEdgeOrder:
     def test_p3_from_middle(self, p3_tree):
         order = bfs_edge_order(p3_tree, 1)
         assert order.edges == ((1, 0), (1, 2))
-        assert order.parent_side == (1, 1)
 
     def test_root_out_of_range(self, p3_tree):
         with pytest.raises(InputError):

@@ -69,7 +69,7 @@ class TestGenerateInstance:
         inst = generate_instance(params)
         rep = validate_tree(inst.tree)
         assert rep.ok and rep.degree_ok
-        assert all(inst.tree.degree(v) <= degree for v in range(vertices))
+        assert all(len(inst.tree.adjacency[v]) <= degree for v in range(vertices))
         for s in inst.subtrees:
             assert validate_subtree(inst.tree, s).ok
             assert 1 <= len(s.arcs) <= lo + extra

@@ -3,9 +3,13 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import treewave
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_imports_and_every_export_resolves():
@@ -22,10 +26,24 @@ def test_every_module_imports_and_every_export_resolves():
 
 def test_benchmark_span_names_resolve():
     """The benchmark times functions by (module, name); a rename must fail here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     for module, fn in spans.OP_SPANS + spans.SETUP_SPANS:
         target = importlib.import_module(f"treewave.{module}")
         assert callable(getattr(target, fn, None)), f"treewave.{module}.{fn}"
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's self-test reads result fields (`trace`,
+    `scheme_choices`, `padding_count`, `Matching.size`, `kernel_backend`)
+    and pins the sweep CSV digest; a trim or an output change must fail here."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
