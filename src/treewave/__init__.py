@@ -50,9 +50,7 @@ from .instances import (
     InternalError,
     LimitError,
     RootedSubtree,
-    collide,
     load,
-    subtrees_on_arc,
     subtrees_on_edge,
     validate_subtree,
     validate_tree,
@@ -84,7 +82,6 @@ __all__ = [
     "bfs_edge_order",
     "build_conflict_graph",
     "classify_edge",
-    "collide",
     "compute_bounds",
     "edge_complement_bipartite",
     "edge_lower_bound",
@@ -102,7 +99,6 @@ __all__ = [
     "process_edge_2",
     "process_edge_simple",
     "round_bound_violations",
-    "subtrees_on_arc",
     "subtrees_on_edge",
     "sweep_items",
     "validate_subtree",

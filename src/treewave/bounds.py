@@ -160,78 +160,76 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     saturation (distinct neighbor colors), degree and lowest index
     breaking ties, and a branch is cut as soon as it cannot use fewer
     colors than the incumbent.
+
+    The search is a loop over an explicit stack, so its depth is bounded
+    by memory, not by the interpreter's recursion limit.  A frame is
+    ``[vertex, forbidden colors, colors in use before it, next color]``;
+    colors are tried in ascending order, and a color is entered only if
+    it uses at most one new color and fewer colors than the incumbent.
     """
     if n == 0:
         return 0, []
     clique = _greedy_clique(n, masks)
     lb = len(clique)
-    ff = _first_fit(n, masks)
-    ub = max(ff)
+    best = _first_fit(n, masks)
+    ub = max(best)
     if lb == ub:
-        return ub, ff
+        return ub, best
     colors = [0] * n
     for i, v in enumerate(clique):
         colors[v] = i + 1
     degrees = [bin(masks[v]).count("1") for v in range(n)]
-    incumbent = [ub, ff]
-    _dsatur_branch(masks, degrees, colors, lb, lb, incumbent)
-    return incumbent[0], incumbent[1]
-
-
-def _dsatur_branch(
-    masks: Sequence[int],
-    degrees: Sequence[int],
-    colors: list[int],
-    colored: int,
-    used: int,
-    incumbent: list,
-) -> None:
-    """Search below the partial `colors`, replacing ``incumbent = [best
-    count, witness]`` on finding fewer colors.  Module-level recursion over
-    explicit state, so a search leaves no reference cycle behind."""
-    n = len(colors)
-    if used >= incumbent[0]:
-        return
-    if colored == n:
-        incumbent[:] = [used, list(colors)]
-        return
-    # pick the uncolored vertex with max (saturation, degree), min index
-    pick = -1
-    pick_sat = -1
-    pick_deg = -1
-    for v in range(n):
-        if colors[v]:
-            continue
-        seen = 0
-        m = masks[v]
+    stack: list[list[int]] = []
+    used = lb
+    while True:
+        # descend: pick the uncolored vertex with max (saturation, degree),
+        # min index
+        pick = -1
+        pick_sat = -1
+        pick_deg = -1
+        for v in range(n):
+            if colors[v]:
+                continue
+            seen = 0
+            m = masks[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if colors[u]:
+                    seen |= 1 << (colors[u] - 1)
+            sat = bin(seen).count("1")
+            if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
+                pick_sat = sat
+                pick_deg = degrees[v]
+                pick = v
+        forbidden = 0
+        m = masks[pick]
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
             if colors[u]:
-                seen |= 1 << (colors[u] - 1)
-        sat = bin(seen).count("1")
-        if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
-            pick_sat = sat
-            pick_deg = degrees[v]
-            pick = v
-    forbidden = 0
-    m = masks[pick]
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        if colors[u]:
-            forbidden |= 1 << (colors[u] - 1)
-    top = used + 1
-    if top > incumbent[0] - 1:
-        top = incumbent[0] - 1
-    for c in range(1, top + 1):
-        if forbidden & (1 << (c - 1)):
-            continue
-        colors[pick] = c
-        _dsatur_branch(
-            masks, degrees, colors, colored + 1, used if c <= used else c, incumbent
-        )
-        colors[pick] = 0
+                forbidden |= 1 << (colors[u] - 1)
+        stack.append([pick, forbidden, used, 1])
+        # advance to the next color worth entering, backtracking as needed
+        while stack:
+            frame = stack[-1]
+            pick, forbidden, used, c = frame
+            top = used + 1 if used + 1 < ub else ub - 1
+            while c <= top and forbidden >> (c - 1) & 1:
+                c += 1
+            if c > top or used >= ub:
+                colors[pick] = 0
+                stack.pop()
+                continue
+            frame[3] = c + 1
+            colors[pick] = c
+            if c > used:
+                used = c
+            if lb + len(stack) < n:
+                break
+            ub, best = used, list(colors)
+        else:
+            return ub, best
 
 
 def _color_bound(cand: int, masks: Sequence[int]) -> int:
@@ -258,27 +256,25 @@ def _max_clique_size(n: int, masks: Sequence[int]) -> int:
 
     Candidates are consumed in ascending index order so each clique is
     enumerated once; subtrees of the search are cut with the greedy
-    coloring bound and the remaining-candidate count.
+    coloring bound and the remaining-candidate count.  The search is a
+    loop over a stack of ``[candidates, clique size]`` frames.
     """
-    if n == 0:
-        return 0
-    return _clique_expand(masks, (1 << n) - 1, 0, 0)
-
-
-def _clique_expand(masks: Sequence[int], cand: int, size: int, best: int) -> int:
-    """Extend a clique of `size` by the vertices of `cand`; returns the
-    largest clique size known afterwards (at least `best`)."""
-    while cand:
-        if size + bin(cand).count("1") <= best:
-            return best
+    best = 0
+    stack = [[(1 << n) - 1, 0]]
+    while stack:
+        frame = stack[-1]
+        cand, size = frame
+        if not cand or size + bin(cand).count("1") <= best:
+            stack.pop()
+            continue
         v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        new_size = size + 1
-        if new_size > best:
-            best = new_size
-        sub = cand & masks[v]
-        if sub and new_size + _color_bound(sub, masks) > best:
-            best = _clique_expand(masks, sub, new_size, best)
+        frame[0] = cand & (cand - 1)
+        size += 1
+        if size > best:
+            best = size
+        sub = frame[0] & masks[v]
+        if sub and size + _color_bound(sub, masks) > best:
+            stack.append([sub, size])
     return best
 
 
@@ -291,7 +287,7 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
     """
     if g.n > limit:
         raise LimitError(f"exact coloring limited to {limit} vertices, got {g.n}")
-    chi, colors = _chromatic_number(g.n, g.adj_masks)
+    chi, colors = _chromatic_number(g.n, g.masks)
     return chi, Coloring({i: c for i, c in enumerate(colors)})
 
 
@@ -300,7 +296,7 @@ def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
     exact_chromatic."""
     if g.n > limit:
         raise LimitError(f"max clique limited to {limit} vertices, got {g.n}")
-    return _max_clique_size(g.n, g.adj_masks)
+    return _max_clique_size(g.n, g.masks)
 
 
 def first_fit_baseline(inst: Instance) -> Coloring:

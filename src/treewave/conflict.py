@@ -16,7 +16,6 @@ the instance's own index; neither path builds a graph twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .instances import Arc, Instance, InputError, edge_key, subtrees_on_edge
@@ -24,49 +23,35 @@ from .instances import Arc, Instance, InputError, edge_key, subtrees_on_edge
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Collision adjacency over subtree indices; symmetric, no self-loops."""
+    """Collision graph over subtree indices, stored as bitmask rows.
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    Bit j of ``masks[i]`` is set iff subtrees i and j share an arc; rows
+    are symmetric and no row has its own bit.
+    """
 
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Adjacency rows as bitmasks, for the exact-oracle kernels."""
-        masks = []
-        for nbrs in self.adjacency:
-            m = 0
-            for j in nbrs:
-                m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+    masks: tuple[int, ...]
 
-    def induced(self, subset: Sequence[int]) -> "ConflictGraph":
-        """Subgraph on `subset` (positions renumbered in the given order)."""
-        pos = {v: k for k, v in enumerate(subset)}
-        adj = tuple(
-            tuple(sorted(pos[w] for w in self.adjacency[v] if w in pos))
-            for v in subset
-        )
-        return ConflictGraph(len(subset), adj)
+    @property
+    def n(self) -> int:
+        return len(self.masks)
 
 
 def build_conflict_graph(inst: Instance) -> ConflictGraph:
-    """Exact collision adjacency, built per directed edge.
+    """Exact collision rows, built per directed edge.
 
-    All subtrees on one arc are pairwise adjacent, so unioning the per-arc
-    cliques and deduplicating reproduces the all-pairs collide relation in
-    time near-linear in total arc occupancy.
+    All subtrees on one arc are pairwise adjacent, so ORing each arc's
+    clique mask into the rows of its members, less their own bit,
+    reproduces the all-pairs collide relation in time near-linear in
+    total arc occupancy.
     """
-    n = inst.size
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * inst.size
     for indices in inst.per_arc_index.values():
-        for a in range(len(indices)):
-            ia = indices[a]
-            for b in range(a + 1, len(indices)):
-                ib = indices[b]
-                nbrs[ia].add(ib)
-                nbrs[ib].add(ia)
-    return ConflictGraph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        clique = 0
+        for i in indices:
+            clique |= 1 << i
+        for i in indices:
+            masks[i] |= clique ^ (1 << i)
+    return ConflictGraph(tuple(masks))
 
 
 @dataclass(frozen=True)

@@ -79,12 +79,16 @@ def generate_instance(p: GenParams) -> Instance:
     n = p.num_vertices
     edges: list[tuple[int, int]] = []
     degree = [0] * n
+    open_vertices = [0]  # ascending, every vertex with spare degree
     for k in range(1, n):
-        candidates = [v for v in range(k) if degree[v] < p.max_degree]
-        parent = candidates[rng.below(len(candidates))]
+        pos = rng.below(len(open_vertices))
+        parent = open_vertices[pos]
         edges.append((parent, k))
         degree[parent] += 1
+        if degree[parent] == p.max_degree:
+            del open_vertices[pos]
         degree[k] += 1
+        open_vertices.append(k)  # a leaf; max_degree >= 2 leaves it room
     tree = HostTree(n, tuple(edges))
     adjacency = tree.adjacency
 

@@ -259,26 +259,9 @@ class Instance:
         return len(self.subtrees)
 
 
-def collide(a: RootedSubtree, b: RootedSubtree) -> bool:
-    """True iff the two subtrees share a directed edge.
-
-    Sharing an undirected link in opposite directions is not a collision;
-    the fibers are unidirectional.
-    """
-    return not a.arc_set.isdisjoint(b.arc_set)
-
-
 def load(inst: Instance) -> int:
     """Maximum number of subtrees on any single directed edge (0 if none)."""
     return max((len(ix) for ix in inst.per_arc_index.values()), default=0)
-
-
-def subtrees_on_arc(inst: Instance, arc: Arc | Sequence[int]) -> tuple[int, ...]:
-    """Ascending indices of subtrees present on one directed edge."""
-    t, h = arc
-    if not inst.tree.has_edge(t, h):
-        raise InputError(f"({t},{h}) is not an edge of the host tree")
-    return inst.per_arc_index.get(Arc(t, h), ())
 
 
 def subtrees_on_edge(inst: Instance, edge: Sequence[int]) -> tuple[int, ...]:

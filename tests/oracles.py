@@ -6,19 +6,67 @@ cliques from subset enumeration, matchings from take/skip recursion on
 the edge list or from memoized exhaustive search, and bipartiteness from
 BFS 2-coloring.  Keep it that way; these exist to certify the fast paths.
 The exceptions are references for fast paths that must reproduce an
-earlier form exactly: `kuhn_recursive`, the recursive form of the
-package's matching search, whose pairs the package must equal, and
+earlier form exactly: `kuhn_recursive`, `dsatur_recursive` and
+`clique_recursive`, the recursive forms of the package's matching,
+chromatic and clique searches, whose results the package must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
-`edge_complement_bipartite`.
+`edge_complement_bipartite`; and `tree_edges_reference`, the generator's
+tree drawn by rescanning every earlier vertex.  `collide`,
+`subtrees_on_arc` and `induced` are small helpers that only the tests
+need.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
-from treewave import BipartiteGraph, LimitError, edge_complement_bipartite
+from treewave import (
+    Arc,
+    BipartiteGraph,
+    ConflictGraph,
+    InputError,
+    LimitError,
+    edge_complement_bipartite,
+)
+from treewave.bounds import _color_bound, _first_fit, _greedy_clique
+from treewave.rng import XorShift64Star
 
 BRUTE_FORCE_GUARD = 24
+
+
+def collide(a, b) -> bool:
+    """True iff the two subtrees share a directed edge.
+
+    Sharing an undirected link in opposite directions is not a collision;
+    the fibers are unidirectional.
+    """
+    return not a.arc_set.isdisjoint(b.arc_set)
+
+
+def subtrees_on_arc(inst, arc) -> tuple[int, ...]:
+    """Ascending indices of subtrees present on one directed edge."""
+    t, h = arc
+    if not inst.tree.has_edge(t, h):
+        raise InputError(f"({t},{h}) is not an edge of the host tree")
+    return inst.per_arc_index.get(Arc(t, h), ())
+
+
+def graph_of(adjacency) -> ConflictGraph:
+    """Conflict graph whose row i has the bits of ``adjacency[i]``."""
+    return ConflictGraph(tuple(sum(1 << j for j in set(nbrs)) for nbrs in adjacency))
+
+
+def neighbors(g: ConflictGraph, i: int) -> list[int]:
+    """Ascending positions of the bits set in row i."""
+    return [j for j in range(g.n) if g.masks[i] >> j & 1]
+
+
+def induced(g: ConflictGraph, subset) -> ConflictGraph:
+    """Subgraph on `subset` (positions renumbered in the given order)."""
+    return graph_of(
+        [k for k, w in enumerate(subset) if g.masks[v] >> w & 1] for v in subset
+    )
 
 
 def collide_naive(a, b) -> bool:
@@ -245,3 +293,134 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
                 continue
         kept.append((lp, rp))
     return BipartiteGraph(base.left, base.right, tuple(kept))
+
+
+def dsatur_recursive(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
+    """The package's exact chromatic search as first written, recursing once
+    per colored vertex; keep inputs small.
+
+    Branch and bound: a greedy clique gives the initial lower bound and is
+    pre-colored 1..k to break color symmetry; first-fit gives the initial
+    upper bound and witness; vertices are then chosen by maximum
+    saturation (distinct neighbor colors), degree and lowest index
+    breaking ties, and a branch is cut as soon as it cannot use fewer
+    colors than the incumbent.
+    """
+    if n == 0:
+        return 0, []
+    clique = _greedy_clique(n, masks)
+    lb = len(clique)
+    ff = _first_fit(n, masks)
+    ub = max(ff)
+    if lb == ub:
+        return ub, ff
+    colors = [0] * n
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+    degrees = [bin(masks[v]).count("1") for v in range(n)]
+    incumbent = [ub, ff]
+    _dsatur_branch_recursive(masks, degrees, colors, lb, lb, incumbent)
+    return incumbent[0], incumbent[1]
+
+
+def _dsatur_branch_recursive(
+    masks: Sequence[int],
+    degrees: Sequence[int],
+    colors: list[int],
+    colored: int,
+    used: int,
+    incumbent: list,
+) -> None:
+    """Search below the partial `colors`, replacing ``incumbent = [best
+    count, witness]`` on finding fewer colors."""
+    n = len(colors)
+    if used >= incumbent[0]:
+        return
+    if colored == n:
+        incumbent[:] = [used, list(colors)]
+        return
+    # pick the uncolored vertex with max (saturation, degree), min index
+    pick = -1
+    pick_sat = -1
+    pick_deg = -1
+    for v in range(n):
+        if colors[v]:
+            continue
+        seen = 0
+        m = masks[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if colors[u]:
+                seen |= 1 << (colors[u] - 1)
+        sat = bin(seen).count("1")
+        if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
+            pick_sat = sat
+            pick_deg = degrees[v]
+            pick = v
+    forbidden = 0
+    m = masks[pick]
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if colors[u]:
+            forbidden |= 1 << (colors[u] - 1)
+    top = used + 1
+    if top > incumbent[0] - 1:
+        top = incumbent[0] - 1
+    for c in range(1, top + 1):
+        if forbidden & (1 << (c - 1)):
+            continue
+        colors[pick] = c
+        _dsatur_branch_recursive(
+            masks, degrees, colors, colored + 1, used if c <= used else c, incumbent
+        )
+        colors[pick] = 0
+
+
+def clique_recursive(n: int, masks: Sequence[int]) -> int:
+    """The package's exact clique search as first written, recursing once
+    per clique vertex.
+
+    Candidates are consumed in ascending index order so each clique is
+    enumerated once; subtrees of the search are cut with the greedy
+    coloring bound and the remaining-candidate count.
+    """
+    if n == 0:
+        return 0
+    return _clique_expand_recursive(masks, (1 << n) - 1, 0, 0)
+
+
+def _clique_expand_recursive(
+    masks: Sequence[int], cand: int, size: int, best: int
+) -> int:
+    """Extend a clique of `size` by the vertices of `cand`; returns the
+    largest clique size known afterwards (at least `best`)."""
+    while cand:
+        if size + bin(cand).count("1") <= best:
+            return best
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        new_size = size + 1
+        if new_size > best:
+            best = new_size
+        sub = cand & masks[v]
+        if sub and new_size + _color_bound(sub, masks) > best:
+            best = _clique_expand_recursive(masks, sub, new_size, best)
+    return best
+
+
+def tree_edges_reference(p) -> list[tuple[int, int]]:
+    """The generator's tree edges drawn as first written: vertex k joins a
+    uniformly random earlier vertex with spare degree, found by rescanning
+    all earlier vertices.  Quadratic in the vertex count."""
+    rng = XorShift64Star(p.seed)
+    edges = []
+    degree = [0] * p.num_vertices
+    for k in range(1, p.num_vertices):
+        candidates = [v for v in range(k) if degree[v] < p.max_degree]
+        parent = candidates[rng.below(len(candidates))]
+        edges.append((parent, k))
+        degree[parent] += 1
+        degree[k] += 1
+    return edges

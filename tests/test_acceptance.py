@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from conftest import make_instance
-from oracles import bfs_two_colorable, brute_force_matching_size, kuhn_recursive
+from oracles import (
+    bfs_two_colorable,
+    brute_force_matching_size,
+    kuhn_recursive,
+    subtrees_on_arc,
+)
 from test_matching import random_bipartite
 from treewave import (
     Coloring,
@@ -39,7 +44,6 @@ from treewave import (
     max_clique,
     normalize,
     round_bound_violations,
-    subtrees_on_arc,
     subtrees_on_edge,
     verify_coloring,
 )

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import brute_chromatic, brute_clique, conflict_pairs_naive
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    clique_recursive,
+    conflict_pairs_naive,
+    dsatur_recursive,
+    graph_of,
+    induced,
+    subtrees_on_arc,
+)
 from treewave import (
     ConflictGraph,
     GenParams,
@@ -26,7 +36,6 @@ from treewave import (
     load,
     max_clique,
     normalize,
-    subtrees_on_arc,
     verify_coloring,
 )
 from treewave import instances
@@ -119,7 +128,7 @@ class TestEdgeLowerBound:
     def test_p3_demo(self, p3_demo):
         assert edge_lower_bound(p3_demo, (0, 1)) == 2
         # cross-check against the exact oracle on the induced conflict graph
-        g = build_conflict_graph(p3_demo).induced([0, 1, 2])
+        g = induced(build_conflict_graph(p3_demo), [0, 1, 2])
         assert exact_chromatic(g)[0] == 2
 
     def test_single_subtree(self, p3_demo):
@@ -141,8 +150,8 @@ class TestEdgeLowerBound:
             )
             bound = edge_lower_bound(inst, (u, v))
             if population:
-                induced = g.induced(sorted(population))
-                assert bound == exact_chromatic(induced)[0]
+                sub = induced(g, sorted(population))
+                assert bound == exact_chromatic(sub)[0]
             else:
                 assert bound == 0
 
@@ -174,11 +183,11 @@ class TestGlobalLowerBound:
 
 class TestExactChromatic:
     def test_empty_graph(self):
-        chi, witness = exact_chromatic(ConflictGraph(0, ()))
+        chi, witness = exact_chromatic(ConflictGraph(()))
         assert chi == 0 and witness.assignment == {}
 
     def test_triangle(self):
-        g = ConflictGraph(3, ((1, 2), (0, 2), (0, 1)))
+        g = graph_of(((1, 2), (0, 2), (0, 1)))
         assert exact_chromatic(g)[0] == 3
 
     def test_p3_demo(self, p3_demo):
@@ -188,7 +197,7 @@ class TestExactChromatic:
         assert verify_coloring(p3_demo, witness).ok
 
     def test_guard(self):
-        g = ConflictGraph(31, tuple(() for _ in range(31)))
+        g = ConflictGraph((0,) * 31)
         with pytest.raises(LimitError):
             exact_chromatic(g, limit=30)
         assert exact_chromatic(g, limit=40)[0] == 1
@@ -202,7 +211,7 @@ class TestExactChromatic:
         ],
     )
     def test_small_graphs(self, adjacency, chi):
-        g = ConflictGraph(len(adjacency), adjacency)
+        g = graph_of(adjacency)
         found, witness = exact_chromatic(g, limit=100)
         colors = witness.color_list(g.n)
         assert found == chi == len(set(colors))
@@ -223,15 +232,15 @@ class TestExactChromatic:
 
 class TestMaxClique:
     def test_empty_and_edgeless(self):
-        assert max_clique(ConflictGraph(0, ())) == 0
-        assert max_clique(ConflictGraph(3, ((), (), ()))) == 1
+        assert max_clique(ConflictGraph(())) == 0
+        assert max_clique(ConflictGraph((0, 0, 0))) == 1
 
     def test_p3_demo(self, p3_demo):
         g = build_conflict_graph(p3_demo)
         assert max_clique(g) == 2 == brute_clique(3, conflict_pairs_naive(p3_demo))
 
     def test_guard(self):
-        g = ConflictGraph(31, tuple(() for _ in range(31)))
+        g = ConflictGraph((0,) * 31)
         with pytest.raises(LimitError):
             max_clique(g, limit=30)
 
@@ -243,7 +252,7 @@ class TestMaxClique:
         ],
     )
     def test_small_graphs(self, adjacency, size):
-        assert max_clique(ConflictGraph(len(adjacency), adjacency), limit=100) == size
+        assert max_clique(graph_of(adjacency), limit=100) == size
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -253,6 +262,28 @@ class TestMaxClique:
         size = max_clique(g)
         assert size == brute_clique(inst.size, conflict_pairs_naive(inst))
         assert size >= load(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 20),
+    density=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_searches_equal_recursive_references(n, density, seed):
+    """The stack-based searches return the recursive forms' chromatic
+    number, witness and clique size exactly."""
+    rng = random.Random(seed)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() * 100 < density:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    g = graph_of(adjacency)
+    chi, witness = exact_chromatic(g)
+    assert (chi, witness.color_list(n)) == dsatur_recursive(n, g.masks)
+    assert max_clique(g) == clique_recursive(n, g.masks)
 
 
 @pytest.mark.parametrize("oracle", [exact_chromatic, max_clique])

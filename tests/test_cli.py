@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewave import GenParams, generate_instance, greedy_color, normalize
+from treewave import (
+    GenParams,
+    HostTree,
+    Instance,
+    RootedSubtree,
+    generate_instance,
+    greedy_color,
+    normalize,
+)
 from treewave.cli import main
 from treewave.formats import dumps_coloring, dumps_instance
 
@@ -95,6 +103,38 @@ def test_exact_and_bound(inst_file, capsys):
     assert doc["load"] == 2
     assert doc["global_lower_bound"] == 2
     assert doc["exact_chromatic"] == 2
+
+
+def test_exact_and_bound_at_raised_limit(tmp_path, capsys):
+    """A search deeper than the interpreter's recursion limit still
+    finishes: on a 700-vertex path with 1,398 subtrees, first-fit needs 3
+    colors and the search must find χ = 2."""
+    n = 700
+    head = [
+        RootedSubtree.of(0, [[0, 1]]),
+        RootedSubtree.of(2, [[2, 3], [3, 4]]),
+        RootedSubtree.of(0, [[0, 1], [1, 2]]),
+        RootedSubtree.of(1, [[1, 2], [2, 3]]),
+    ]
+    taken = {a for s in head for a in s.arcs}
+    singles = [
+        RootedSubtree.of(t, [[t, h]])
+        for v in range(n - 1)
+        for t, h in ((v, v + 1), (v + 1, v))
+        if (t, h) not in taken
+    ]
+    tree = HostTree.of(n, [[v, v + 1] for v in range(n - 1)])
+    path = tmp_path / "path.json"
+    path.write_text(dumps_instance(Instance(tree, tuple(head + singles))))
+    assert main(["exact", str(path), "--limit", "5000"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["num_colors"] == 2
+    assert "Traceback" not in captured.err
+    assert main(["bound", str(path), "--limit", "5000"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["exact_chromatic"] == 2 and doc["clique_lower_bound"] == 2
+    assert "Traceback" not in captured.err
 
 
 def test_verify_exit_codes(inst_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import bfs_two_colorable, conflict_pairs_naive
+from oracles import bfs_two_colorable, conflict_pairs_naive, neighbors
 from treewave import (
     HostTree,
     InputError,
@@ -20,7 +20,7 @@ from treewave import (
 class TestBuildConflictGraph:
     def test_p3_demo_edges(self, p3_demo):
         g = build_conflict_graph(p3_demo)
-        assert g.adjacency == ((2,), (), (0,))
+        assert g.masks == (0b100, 0b000, 0b001)
 
     def test_disjoint_subtrees_empty_graph(self):
         tree = HostTree.of(4, [[0, 1], [1, 2], [2, 3]])
@@ -29,20 +29,20 @@ class TestBuildConflictGraph:
             (RootedSubtree.of(0, [[0, 1]]), RootedSubtree.of(2, [[2, 3]])),
         )
         g = build_conflict_graph(inst)
-        assert all(not nb for nb in g.adjacency)
+        assert g.masks == (0, 0)
 
     def test_duplicates_form_complete_graph(self, p3_tree):
         dup = RootedSubtree.of(0, [[0, 1]])
         inst = Instance(p3_tree, (dup,) * 4)
         g = build_conflict_graph(inst)
-        assert all(len(g.adjacency[i]) == 3 for i in range(4))
+        assert g.masks == (0b1110, 0b1101, 0b1011, 0b0111)
 
     def test_symmetric_no_self_loops(self, star_demo):
         g = build_conflict_graph(star_demo)
-        for i, nbrs in enumerate(g.adjacency):
-            assert i not in nbrs
-            for j in nbrs:
-                assert i in g.adjacency[j]
+        for i in range(g.n):
+            assert i not in neighbors(g, i)
+            for j in neighbors(g, i):
+                assert i in neighbors(g, j)
 
 
 class TestEdgeComplementBipartite:
@@ -90,7 +90,7 @@ def test_conflict_graph_matches_all_pairs_oracle(seed):
     inst = make_instance(seed, max_vertices=7, max_subtrees=8)
     g = build_conflict_graph(inst)
     pairs = {
-        (i, j) for i, nbrs in enumerate(g.adjacency) for j in nbrs if i < j
+        (i, j) for i in range(g.n) for j in neighbors(g, i) if i < j
     }
     assert pairs == conflict_pairs_naive(inst)
 
@@ -120,15 +120,15 @@ def test_coloring_validity_equivalence(seed):
     # color greedily in index order to get some total coloring
     colors: dict[int, int] = {}
     for i in range(inst.size):
-        used = {colors[j] for j in g.adjacency[i] if j in colors}
+        used = {colors[j] for j in neighbors(g, i) if j in colors}
         c = 1
         while c in used:
             c += 1
         colors[i] = c
     by_graph = all(
         colors[i] != colors[j]
-        for i, nbrs in enumerate(g.adjacency)
-        for j in nbrs
+        for i in range(g.n)
+        for j in neighbors(g, i)
     )
     by_arcs = all(
         len({colors[i] for i in ix}) == len(ix)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coloring_valid_naive
+from oracles import coloring_valid_naive, tree_edges_reference
 from treewave import (
     BenchItem,
     Coloring,
@@ -63,10 +63,12 @@ class TestGenerateInstance:
     )
     def test_generated_instances_validate(self, seed, vertices, degree, count, lo, extra):
         """`generate_instance` builds its instance unchecked; this is the
-        property that makes that safe."""
+        property that makes that safe.  Its tree must also equal the draws
+        of the rescanning reference."""
         count = count if vertices > 1 else 0
         params = GenParams(vertices, degree, count, (lo, lo + extra), seed)
         inst = generate_instance(params)
+        assert list(inst.tree.edges) == tree_edges_reference(params)
         rep = validate_tree(inst.tree)
         assert rep.ok and rep.degree_ok
         assert all(len(inst.tree.adjacency[v]) <= degree for v in range(vertices))

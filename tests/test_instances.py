@@ -5,16 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import collide_naive, load_naive, on_arc_naive
+from oracles import collide, collide_naive, load_naive, on_arc_naive, subtrees_on_arc
 from treewave import (
     Arc,
     HostTree,
     InputError,
     Instance,
     RootedSubtree,
-    collide,
     load,
-    subtrees_on_arc,
     subtrees_on_edge,
     validate_subtree,
     validate_tree,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -47,3 +48,24 @@ def test_benchmark_selftest_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_package_functions_do_not_recurse():
+    """Every search runs as a loop, so no input depth reaches the
+    interpreter's recursion limit: no function may call its own name."""
+    recursive = []
+    for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(
+                    callee, "attr", None
+                )
+                if name == fn.name:
+                    recursive.append(f"{path.name}:{fn.name}")
+    assert recursive == []
