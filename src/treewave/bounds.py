@@ -154,12 +154,15 @@ def _first_fit(n: int, masks: Sequence[int]) -> list[int]:
 def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     """Exact chromatic number with an optimal witness (1-based colors).
 
-    Branch and bound: a greedy clique gives the initial lower bound and is
-    pre-colored 1..k to break color symmetry; first-fit gives the initial
-    upper bound and witness; vertices are then chosen by maximum
-    saturation (distinct neighbor colors), degree and lowest index
-    breaking ties, and a branch is cut as soon as it cannot use fewer
-    colors than the incumbent.
+    Branch and bound: a greedy clique is pre-colored 1..k to break color
+    symmetry; first-fit gives the initial upper bound and witness, and the
+    clique number ω, searched from the greedy clique's size, the lower
+    bound; vertices are then chosen by maximum saturation (distinct
+    neighbor colors), degree and lowest index breaking ties, and a branch
+    is cut as soon as it cannot use fewer colors than the incumbent.  The
+    incumbent only ever improves strictly and never goes below ω, so the
+    search returns as soon as it reaches ω: that is the witness the full
+    search would end with.
 
     The search is a loop over an explicit stack, so its depth is bounded
     by memory, not by the interpreter's recursion limit.  A frame is
@@ -174,6 +177,9 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     best = _first_fit(n, masks)
     ub = max(best)
     if lb == ub:
+        return ub, best
+    omega = _max_clique_size(n, masks, lb)
+    if omega == ub:
         return ub, best
     colors = [0] * n
     for i, v in enumerate(clique):
@@ -228,6 +234,8 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
             if lb + len(stack) < n:
                 break
             ub, best = used, list(colors)
+            if ub == omega:
+                return ub, best
         else:
             return ub, best
 
@@ -251,15 +259,16 @@ def _color_bound(cand: int, masks: Sequence[int]) -> int:
     return len(classes)
 
 
-def _max_clique_size(n: int, masks: Sequence[int]) -> int:
-    """Exact maximum clique size by branch and bound.
+def _max_clique_size(n: int, masks: Sequence[int], best: int) -> int:
+    """Exact maximum clique size by branch and bound, given the size `best`
+    of a clique already known to exist.
 
     Candidates are consumed in ascending index order so each clique is
     enumerated once; subtrees of the search are cut with the greedy
-    coloring bound and the remaining-candidate count.  The search is a
-    loop over a stack of ``[candidates, clique size]`` frames.
+    coloring bound and the remaining-candidate count, which only needs to
+    beat `best`.  The search is a loop over a stack of ``[candidates,
+    clique size]`` frames.
     """
-    best = 0
     stack = [[(1 << n) - 1, 0]]
     while stack:
         frame = stack[-1]
@@ -281,8 +290,9 @@ def _max_clique_size(n: int, masks: Sequence[int]) -> int:
 def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal witness coloring.
 
-    Branch and bound over DSATUR-style vertex choices with a greedy
-    clique lower bound and first-fit upper bound.  Guarded: graphs larger
+    Branch and bound over DSATUR-style vertex choices with a first-fit
+    upper bound and the clique number as lower bound; the search stops as
+    soon as a coloring reaches the clique number.  Guarded: graphs larger
     than `limit` are rejected so runs stay reproducible.
     """
     if g.n > limit:
@@ -293,10 +303,13 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
 
 def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
     """Exact maximum clique size (0 for the empty graph), guarded like
-    exact_chromatic."""
+    exact_chromatic.  The search starts from the greedy clique's size and
+    only looks for larger cliques."""
     if g.n > limit:
         raise LimitError(f"max clique limited to {limit} vertices, got {g.n}")
-    return _max_clique_size(g.n, g.masks)
+    if g.n == 0:
+        return 0
+    return _max_clique_size(g.n, g.masks, len(_greedy_clique(g.n, g.masks)))
 
 
 def first_fit_baseline(inst: Instance) -> Coloring:

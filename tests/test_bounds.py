@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import json
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
@@ -39,6 +42,7 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
+from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
 from treewave.matching import max_bipartite_matching
@@ -264,26 +268,101 @@ class TestMaxClique:
         assert size >= load(inst)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(0, 20),
-    density=st.integers(0, 100),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_searches_equal_recursive_references(n, density, seed):
-    """The stack-based searches return the recursive forms' chromatic
-    number, witness and clique size exactly."""
-    rng = random.Random(seed)
+class OverBudget(Exception):
+    """Raised from SIGALRM when a call outlives its time budget."""
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise OverBudget inside the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise OverBudget(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Raw instances whose first-fit coloring already uses ω colors while the
+# greedy clique is smaller (6 in both); a search that does not stop at ω
+# runs for more than 20 s on each, trying to rule out every smaller count.
+FIRST_FIT_AT_OMEGA = [
+    pytest.param(GenParams(7, 3, 23, (1, 4), seed=14406386434140679447), 9, id="chi9"),
+    pytest.param(GenParams(8, 3, 22, (1, 4), seed=7652497026876145360), 8, id="chi8"),
+]
+
+
+class TestStopAtCliqueNumber:
+    @pytest.mark.parametrize("params, chi", FIRST_FIT_AT_OMEGA)
+    def test_first_fit_at_omega_returns_at_once(self, params, chi):
+        inst = generate_instance(params)
+        g = build_conflict_graph(inst)
+        with time_budget(2.0):
+            found, witness = exact_chromatic(g)
+        assert found == chi == max_clique(g)
+        assert witness.color_list(g.n) == first_fit_baseline(inst).color_list(g.n)
+
+    def test_bound_cli_finishes(self, tmp_path, capsys):
+        params, chi = FIRST_FIT_AT_OMEGA[0].values
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_instance(generate_instance(params)))
+        with time_budget(2.0):
+            assert main(["bound", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exact_chromatic"] == doc["clique_lower_bound"] == chi
+
+
+@st.composite
+def random_graphs(draw) -> ConflictGraph:
+    """Uniform random graphs with up to 20 vertices and any edge density."""
+    n = draw(st.integers(0, 20))
+    density = draw(st.integers(0, 100))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() * 100 < density:
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-    g = graph_of(adjacency)
+    return graph_of(adjacency)
+
+
+@st.composite
+def generated_conflict_graphs(draw) -> ConflictGraph:
+    """Conflict graphs of raw generated instances up to the oracle guard,
+    where the clique number often equals χ and is often above the greedy
+    clique."""
+    params = GenParams(
+        draw(st.integers(2, 9)),
+        3,
+        draw(st.integers(0, 30)),
+        (1, 4),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return build_conflict_graph(generate_instance(params))
+
+
+@settings(max_examples=600, deadline=None)
+@given(g=st.one_of(random_graphs(), generated_conflict_graphs()))
+def test_searches_equal_recursive_references(g):
+    """The stack-based searches, which stop at the clique number, return
+    the recursive forms' chromatic number, witness and clique size
+    exactly.  The recursive χ search never stops early, so on a few
+    generated graphs it runs for seconds; those it cannot finish within
+    the budget are skipped, as there is nothing to compare against."""
     chi, witness = exact_chromatic(g)
-    assert (chi, witness.color_list(n)) == dsatur_recursive(n, g.masks)
-    assert max_clique(g) == clique_recursive(n, g.masks)
+    assert max_clique(g) == clique_recursive(g.n, g.masks)
+    try:
+        with time_budget(1.0):
+            expected = dsatur_recursive(g.n, g.masks)
+    except OverBudget:
+        reject()
+    assert (chi, witness.color_list(g.n)) == expected
 
 
 @pytest.mark.parametrize("oracle", [exact_chromatic, max_clique])
