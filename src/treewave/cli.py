@@ -79,17 +79,13 @@ def _cmd_color(args: argparse.Namespace) -> int:
         _write_text(dumps_coloring(coloring.color_list(inst.size)), args.output)
         return 0 if rep.ok else 1
     if args.no_normalize:
-        result = greedy_color(inst, args.root)
-        rep = verify_coloring(inst, result.coloring)
-        doc = dumps_coloring(result.coloring.color_list(inst.size))
+        target, original_count = inst, None
     else:
         norm = normalize(inst)
-        result = greedy_color(norm.padded, args.root)
-        rep = verify_coloring(norm.padded, result.coloring)
-        doc = dumps_coloring(
-            result.coloring.color_list(norm.padded.size),
-            original_count=norm.original_count,
-        )
+        target, original_count = norm.padded, norm.original_count
+    result = greedy_color(target, args.root)
+    rep = verify_coloring(target, result.coloring)
+    doc = dumps_coloring(result.coloring.color_list(target.size), original_count)
     if args.trace:
         for rs in result.trace:
             print(

@@ -5,7 +5,9 @@ conflict graph (vertices = subtree indices, edges = colliding pairs).
 Restricted to the subtrees present on a single host edge, each direction
 is a clique, so the complement of that restriction is bipartite with the
 two directions as sides; that complement is what the matching-based
-coloring steps and the per-edge lower bound work on.
+coloring steps and the per-edge lower bound work on.  Both graphs are
+stored as bitmask rows: `ConflictGraph.masks` over subtree indices,
+`BipartiteGraph.rows` from left positions over right positions.
 
 `edge_complement_bipartite` checks its edge and subset and then calls
 the unchecked builder `_complement_bipartite`, which the greedy colorer
@@ -58,15 +60,15 @@ def build_conflict_graph(inst: Instance) -> ConflictGraph:
 class BipartiteGraph:
     """Bipartite graph over two lists of original subtree indices.
 
-    Edges are (left position, right position) pairs into those lists.
-    The sides are disjoint and every edge is in range and listed once;
-    `edge_complement_bipartite` ensures this by checking its subset, so
-    the graph re-checks nothing.
+    Bit rp of ``rows[lp]`` is set iff left position lp is joined to right
+    position rp.  The sides are disjoint and no row has a bit at or above
+    ``len(right)``; `edge_complement_bipartite` ensures this by checking
+    its subset, so the graph re-checks nothing.
     """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...]
 
 
 def _complement_bipartite(
@@ -79,8 +81,7 @@ def _complement_bipartite(
 
     `members` must be ascending, distinct and present on the host edge
     `edge`.  A non-colliding pair (i, j), i on the (min,max) direction,
-    becomes an edge unless `keep(i, j)` is false; edges come out in
-    (left, right) order.
+    is joined unless `keep(i, j)` is false.
     """
     fwd = Arc(*edge_key(*edge))
     subtrees = inst.subtrees
@@ -89,13 +90,15 @@ def _complement_bipartite(
     for i in members:
         (left if fwd in subtrees[i].arc_set else right).append(i)
     right_arcs = [subtrees[j].arc_set for j in right]
-    edges = []
-    for lp, i in enumerate(left):
+    rows = []
+    for i in left:
         arcs_i = subtrees[i].arc_set
+        row = 0
         for rp, j in enumerate(right):
             if arcs_i.isdisjoint(right_arcs[rp]) and (keep is None or keep(i, j)):
-                edges.append((lp, rp))
-    return BipartiteGraph(tuple(left), tuple(right), tuple(edges))
+                row |= 1 << rp
+        rows.append(row)
+    return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
 
 
 def edge_complement_bipartite(

@@ -237,7 +237,7 @@ def process_edge_1(
 
 
 def process_edge_2(
-    state: ArcColors, queue: Sequence[int], u: int, v: int, w: int, x: int
+    state: ArcColors, queue: Sequence[int], u: int, v: int, x: int
 ) -> None:
     """Second type-4 scheme: reuse colors from the unprocessed fork edge.
 
@@ -311,7 +311,7 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
             scheme1 = [state.psi[q] for q in queue]
             for q in queue:
                 state.unassign(q)
-            process_edge_2(state, queue, u, v, et.w, et.x)
+            process_edge_2(state, queue, u, v, et.x)
             c2 = state.colors_used()
             if c1 <= c2:
                 for q in queue:

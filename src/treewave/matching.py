@@ -1,8 +1,10 @@
 """Maximum matching in bipartite graphs.
 
 The matching drives the color-reuse step of the greedy colorer and the
-per-edge lower bound.  The tests certify it against independent
-brute-force oracles and a recursive reference in ``tests/oracles.py``.
+per-edge lower bound.  It reads the graph's bitmask rows directly: the
+next right a left tries is the lowest unvisited bit of its row.  The
+tests certify it against independent brute-force oracles and a
+recursive reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,35 +33,32 @@ def max_bipartite_matching(g: BipartiteGraph) -> Matching:
     returned matching.  The depth-first search keeps its own stack, so an
     augmenting path may be as long as the graph.
     """
-    n_left, n_right = len(g.left), len(g.right)
-    adj: list[list[int]] = [[] for _ in range(n_left)]
-    for lp, rp in sorted(g.edges):
-        adj[lp].append(rp)
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    visited_by = [-1] * n_right  # last root whose search visited each right
-    for root in range(n_left):
-        # frames[k] = (left, its untried neighbors); path[k] is the right
-        # position frames[k] is trying, whose owner is frames[k + 1]
-        frames = [(root, iter(adj[root]))]
+    rows = g.rows
+    match_l = [-1] * len(rows)
+    match_r = [-1] * len(g.right)
+    for root in range(len(rows)):
+        # path[k] is the right position stack[k] is trying, whose owner is
+        # stack[k + 1]; `visited` holds the rights this root's search saw
+        stack = [root]
         path: list[int] = []
-        while frames:
-            for r in frames[-1][1]:
-                if visited_by[r] != root:
-                    visited_by[r] = root
-                    break
-            else:
-                frames.pop()
+        visited = 0
+        while stack:
+            free = rows[stack[-1]] & ~visited
+            if not free:
+                stack.pop()
                 if path:
                     path.pop()
                 continue
+            bit = free & -free
+            visited |= bit
+            r = bit.bit_length() - 1
             path.append(r)
             owner = match_r[r]
             if owner == -1:
-                for (l, _), r in zip(frames, path):
+                for l, r in zip(stack, path):
                     match_l[l] = r
                     match_r[r] = l
                 break
-            frames.append((owner, iter(adj[owner])))
+            stack.append(owner)
     pairs = tuple((lp, rp) for lp, rp in enumerate(match_l) if rp != -1)
     return Matching(pairs)

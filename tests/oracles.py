@@ -13,7 +13,8 @@ chromatic and clique searches, whose results the package must equal;
 `edge_complement_bipartite`; and `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex.  `collide`,
 `subtrees_on_arc` and `induced` are small helpers that only the tests
-need.
+need; `graph_of`/`neighbors` and `bipartite_of`/`edges_of` convert the
+package's bitmask rows to and from adjacency and edge lists.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ def graph_of(adjacency) -> ConflictGraph:
 def neighbors(g: ConflictGraph, i: int) -> list[int]:
     """Ascending positions of the bits set in row i."""
     return [j for j in range(g.n) if g.masks[i] >> j & 1]
+
+
+def bipartite_of(left, right, edges) -> BipartiteGraph:
+    """Bipartite graph whose row lp has bit rp for each (lp, rp) in `edges`."""
+    rows = [0] * len(left)
+    for lp, rp in edges:
+        rows[lp] |= 1 << rp
+    return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
+
+
+def edges_of(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+    """(left position, right position) pairs of the set bits, ascending."""
+    return tuple(
+        (lp, rp)
+        for lp, row in enumerate(g.rows)
+        for rp in range(len(g.right))
+        if row >> rp & 1
+    )
 
 
 def induced(g: ConflictGraph, subset) -> ConflictGraph:
@@ -223,7 +242,7 @@ def brute_force_matching_size(g) -> int:
             f"brute-force matching limited to {BRUTE_FORCE_GUARD} vertices, got {n_l + n_r}"
         )
     adj: list[list[int]] = [[] for _ in range(n_l)]
-    for lp, rp in sorted(g.edges):
+    for lp, rp in edges_of(g):
         adj[lp].append(rp)
     memo: dict[tuple[int, int], int] = {}
 
@@ -253,7 +272,7 @@ def kuhn_recursive(g) -> tuple[tuple[int, int], ...]:
     depth is the augmenting path length, so keep inputs small.
     """
     adj: list[list[int]] = [[] for _ in range(len(g.left))]
-    for lp, rp in sorted(g.edges):
+    for lp, rp in edges_of(g):
         adj[lp].append(rp)
     match_l = [-1] * len(g.left)
     match_r = [-1] * len(g.right)
@@ -281,7 +300,7 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
     base = edge_complement_bipartite(state.inst, edge, members)
     psi = state.psi
     kept = []
-    for lp, rp in base.edges:
+    for lp, rp in edges_of(base):
         i, j = base.left[lp], base.right[rp]
         ci, cj = psi.get(i), psi.get(j)
         if ci is not None and cj is not None:
@@ -292,7 +311,7 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
             if any(c in state.arc_colors[a] for a in state.inst.subtrees[q].arcs):
                 continue
         kept.append((lp, rp))
-    return BipartiteGraph(base.left, base.right, tuple(kept))
+    return bipartite_of(base.left, base.right, kept)
 
 
 def dsatur_recursive(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:

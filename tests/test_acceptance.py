@@ -18,6 +18,7 @@ from conftest import make_instance
 from oracles import (
     bfs_two_colorable,
     brute_force_matching_size,
+    edges_of,
     kuhn_recursive,
     subtrees_on_arc,
 )
@@ -217,7 +218,7 @@ def test_criterion_4_edge_complements_bipartite(certification):
             population = list(subtrees_on_edge(inst, (u, v)))
             bip = edge_complement_bipartite(inst, (u, v), population)
             n = len(bip.left) + len(bip.right)
-            shifted = [(lp, len(bip.left) + rp) for lp, rp in bip.edges]
+            shifted = [(lp, len(bip.left) + rp) for lp, rp in edges_of(bip)]
             if not bfs_two_colorable(n, shifted):
                 violations.append(
                     f"seed {rec.seed_index}: edge {{{u},{v}}} complement not bipartite"

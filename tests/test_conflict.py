@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import bfs_two_colorable, conflict_pairs_naive, neighbors
+from oracles import (
+    bfs_two_colorable,
+    collide,
+    conflict_pairs_naive,
+    edges_of,
+    neighbors,
+)
 from treewave import (
     HostTree,
     InputError,
@@ -51,13 +57,13 @@ class TestEdgeComplementBipartite:
         assert bip.left == (0, 2)
         assert bip.right == (1,)
         # B collides with neither A nor C
-        assert set(bip.edges) == {(0, 0), (1, 0)}
+        assert set(edges_of(bip)) == {(0, 0), (1, 0)}
 
     def test_one_sided_subset(self, p3_demo):
         bip = edge_complement_bipartite(p3_demo, (0, 1), [0, 2])
         assert bip.left == (0, 2)
         assert bip.right == ()
-        assert bip.edges == ()
+        assert edges_of(bip) == ()
 
     def test_opposite_directions_colliding_elsewhere(self):
         # both subtrees span the middle edge in opposite directions but
@@ -73,7 +79,7 @@ class TestEdgeComplementBipartite:
         # on edge {0,1}: subtree 0 forward, subtree 1 backward
         bip = edge_complement_bipartite(inst, (0, 1), [0, 1])
         assert bip.left == (0,) and bip.right == (1,)
-        assert bip.edges == ()
+        assert edges_of(bip) == ()
 
     def test_subset_outside_edge_rejected(self, p3_demo):
         with pytest.raises(InputError):
@@ -95,19 +101,36 @@ def test_conflict_graph_matches_all_pairs_oracle(seed):
     assert pairs == conflict_pairs_naive(inst)
 
 
+def edge_complements(inst, subset_seed: int):
+    """The complement of every host edge's full population and of a
+    deterministic pseudo-random subset of it."""
+    for u, v in inst.tree.edges:
+        population = subtrees_on_edge(inst, (u, v))
+        subset = [i for i in population if (i * 2654435761 + subset_seed) % 3 != 0]
+        for chosen in (list(population), subset):
+            yield edge_complement_bipartite(inst, (u, v), chosen)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), subset_seed=st.integers(0, 2**16))
 def test_edge_complements_are_two_colorable(seed, subset_seed):
+    for bip in edge_complements(make_instance(seed), subset_seed):
+        n = len(bip.left) + len(bip.right)
+        shifted = [(lp, len(bip.left) + rp) for lp, rp in edges_of(bip)]
+        assert bfs_two_colorable(n, shifted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), subset_seed=st.integers(0, 2**16))
+def test_edge_complement_rows_match_collide(seed, subset_seed):
+    # bit rp of row lp is set iff left[lp] and right[rp] do not collide
     inst = make_instance(seed)
-    for u, v in inst.tree.edges:
-        population = subtrees_on_edge(inst, (u, v))
-        # full population and a deterministic pseudo-random subset
-        subset = [i for i in population if (i * 2654435761 + subset_seed) % 3 != 0]
-        for chosen in (list(population), subset):
-            bip = edge_complement_bipartite(inst, (u, v), chosen)
-            n = len(bip.left) + len(bip.right)
-            shifted = [(lp, len(bip.left) + rp) for lp, rp in bip.edges]
-            assert bfs_two_colorable(n, shifted)
+    sub = inst.subtrees
+    for bip in edge_complements(inst, subset_seed):
+        for lp, i in enumerate(bip.left):
+            assert bip.rows[lp] == sum(
+                1 << rp for rp, j in enumerate(bip.right) if not collide(sub[i], sub[j])
+            )
 
 
 @settings(max_examples=40, deadline=None)

@@ -182,7 +182,7 @@ class TestProcessEdge2:
             ),
         )
         state_a = _state(inst)
-        process_edge_2(state_a, (0, 1), 0, 2, 1, 3)
+        process_edge_2(state_a, (0, 1), 0, 2, 3)
         state_b = _state(inst)
         process_edge_simple(state_b, (0, 1))
         assert state_a.psi == state_b.psi == {0: 1, 1: 2}
@@ -196,7 +196,7 @@ class TestProcessEdge2:
             ),
         )
         state = _state(inst)
-        process_edge_2(state, (0, 1), 0, 2, 1, 3)
+        process_edge_2(state, (0, 1), 0, 2, 3)
         assert state.psi == {0: 1, 1: 1}
 
 
@@ -279,7 +279,7 @@ def _replay_with_subroutine_checks(inst) -> tuple[dict[int, int], int]:
         bip2 = _reuse_graph(state, (u, et.x), members2)
         assert bip2 == reuse_graph_reference(state, (u, et.x), members2)
         m2 = max_bipartite_matching(bip2)
-        process_edge_2(state, queue, u, v, et.w, et.x)
+        process_edge_2(state, queue, u, v, et.x)
         psi2 = dict(state.psi)
         assert _partial_valid(inst, psi2)
         assert set(queue) <= set(psi2)
