@@ -7,7 +7,10 @@ is a clique, so the complement of that restriction is bipartite with the
 two directions as sides; that complement is what the matching-based
 coloring steps and the per-edge lower bound work on.  Both graphs are
 stored as bitmask rows: `ConflictGraph.masks` over subtree indices,
-`BipartiteGraph.rows` from left positions over right positions.
+`BipartiteGraph.rows` from left positions over right positions.  Both
+are built from per-arc masks, never by testing pairs: a conflict row ORs
+the cliques of its subtree's arcs, a complement row clears the right
+positions on its left's arcs.
 
 `edge_complement_bipartite` checks its edge and subset and then calls
 the unchecked builder `_complement_bipartite`, which the greedy colorer
@@ -18,7 +21,7 @@ the instance's own index; neither path builds a graph twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .instances import Arc, Instance, InputError, edge_key, subtrees_on_edge
 
@@ -72,32 +75,34 @@ class BipartiteGraph:
 
 
 def _complement_bipartite(
-    inst: Instance,
-    edge: Sequence[int],
-    members: Sequence[int],
-    keep: Callable[[int, int], bool] | None = None,
+    inst: Instance, edge: Sequence[int], members: Sequence[int]
 ) -> BipartiteGraph:
     """Unchecked core of `edge_complement_bipartite`.
 
     `members` must be ascending, distinct and present on the host edge
-    `edge`.  A non-colliding pair (i, j), i on the (min,max) direction,
-    is joined unless `keep(i, j)` is false.
+    `edge`.  Each right position's bit is ORed once into a mask per arc
+    it occupies; left position lp's row is then every right position
+    less the masks of its own arcs, since two subtrees collide exactly
+    when they share an arc.
     """
-    fwd = Arc(*edge_key(*edge))
+    on_fwd = set(inst.per_arc_index.get(Arc(*edge_key(*edge)), ()))
     subtrees = inst.subtrees
     left: list[int] = []
     right: list[int] = []
     for i in members:
-        (left if fwd in subtrees[i].arc_set else right).append(i)
-    right_arcs = [subtrees[j].arc_set for j in right]
+        (left if i in on_fwd else right).append(i)
+    on_arc: dict[Arc, int] = {}
+    for rp, j in enumerate(right):
+        bit = 1 << rp
+        for a in subtrees[j].arcs:
+            on_arc[a] = on_arc.get(a, 0) | bit
+    full = (1 << len(right)) - 1
     rows = []
     for i in left:
-        arcs_i = subtrees[i].arc_set
-        row = 0
-        for rp, j in enumerate(right):
-            if arcs_i.isdisjoint(right_arcs[rp]) and (keep is None or keep(i, j)):
-                row |= 1 << rp
-        rows.append(row)
+        taken = 0
+        for a in subtrees[i].arcs:
+            taken |= on_arc.get(a, 0)
+        rows.append(full & ~taken)
     return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
 
 

@@ -10,11 +10,14 @@ matching in a complement conflict graph, and commits whichever scheme
 ends the round with fewer distinct colors in use.
 
 Two subtrees conflict exactly when they share an arc, so the state is
-kept per arc (`ArcColors`) and no conflict graph is built.  A fork round
-builds its reuse graph in one unchecked pass over the edge's population,
-read off the instance's own index, and undoes the losing scheme subtree
-by subtree; the trace keeps per-round deltas.  The instance was
-validated when it was built; nothing here checks it again.
+kept per arc (`ArcColors`), as one color bitmask per arc, and no
+conflict graph is built.  A fork round builds its reuse graph from the
+edge's complement rows, read off the instance's own index, and ANDs each
+row with a mask of the right positions its left may share a color with.
+It runs scheme 2 first, then scheme 1, and puts scheme 2 back only when
+scheme 1 uses more colors, so the usual winner costs no undo; the trace
+keeps per-round deltas.  The instance was validated when it was built;
+nothing here checks it again.
 """
 
 from __future__ import annotations
@@ -113,43 +116,46 @@ class ArcColors:
     """Partial coloring kept per arc, the greedy's whole state.
 
     `psi` maps colored subtrees to colors, `arc_colors` each arc to the
-    colors on it, and `color_count` each color in use to its number of
+    mask of the colors on it (bit c set iff color c is on the arc; bit 0
+    is never used), and `color_count` each color in use to its number of
     subtrees.  The coloring stays valid, so a color sits on an arc for at
-    most one subtree and `unassign` may simply drop it from that set.
+    most one subtree and `unassign` may simply clear its bit.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
         self.psi: dict[int, int] = {}
-        self.arc_colors: dict[Arc, set[int]] = {a: set() for a in inst.per_arc_index}
+        self.arc_colors: dict[Arc, int] = dict.fromkeys(inst.per_arc_index, 0)
         self.color_count: dict[int, int] = {}
 
-    def colors_on(self, *subtrees: int) -> set[int]:
-        """Colors on any arc of the given subtrees."""
-        colors: set[int] = set()
+    def colors_on(self, *subtrees: int) -> int:
+        """Mask of the colors on any arc of the given subtrees."""
+        arc_colors = self.arc_colors
+        colors = 0
         for i in subtrees:
             for a in self.inst.subtrees[i].arcs:
-                colors |= self.arc_colors[a]
+                colors |= arc_colors[a]
         return colors
 
     def first_fit(self, *subtrees: int) -> int:
         """Smallest positive color on no arc of any of the given subtrees."""
-        forbidden = self.colors_on(*subtrees)
-        c = 1
-        while c in forbidden:
-            c += 1
-        return c
+        taken = self.colors_on(*subtrees) | 1
+        return (~taken & (taken + 1)).bit_length() - 1
 
     def assign(self, i: int, c: int) -> None:
         self.psi[i] = c
+        arc_colors = self.arc_colors
+        bit = 1 << c
         for a in self.inst.subtrees[i].arcs:
-            self.arc_colors[a].add(c)
+            arc_colors[a] |= bit
         self.color_count[c] = self.color_count.get(c, 0) + 1
 
     def unassign(self, i: int) -> None:
         c = self.psi.pop(i)
+        arc_colors = self.arc_colors
+        bit = 1 << c
         for a in self.inst.subtrees[i].arcs:
-            self.arc_colors[a].discard(c)
+            arc_colors[a] ^= bit
         self.color_count[c] -= 1
         if not self.color_count[c]:
             del self.color_count[c]
@@ -173,20 +179,46 @@ def _reuse_graph(
     (bipartite by direction), without the pairs that must not be merged:
     two colored subtrees with different colors, and uncolored/colored
     pairs where the colored one's color already sits on an arc of the
-    uncolored one.
+    uncolored one.  Each row of the complement is ANDed with the mask of
+    the right positions its left may share with: a direction is a clique,
+    so at most one colored right carries each color (`colored_at`); the
+    uncolored rights form one mask; and `near[c]` holds the uncolored
+    rights whose arcs carry color c, for the colors of colored lefts.
     """
     psi = state.psi
-    near = {q: state.colors_on(q) for q in members if q not in psi}
-
-    def may_share(i: int, j: int) -> bool:
-        ci, cj = psi.get(i), psi.get(j)
-        if ci is None:
-            return cj is None or cj not in near[i]
-        if cj is None:
-            return ci not in near[j]
-        return ci == cj
-
-    return _complement_bipartite(state.inst, edge, members, may_share)
+    comp = _complement_bipartite(state.inst, edge, members)
+    left_colors = 0
+    for i in comp.left:
+        if i in psi:
+            left_colors |= 1 << psi[i]
+    colored_at: dict[int, int] = {}
+    near: dict[int, int] = {}
+    right_colors = uncolored = 0
+    for rp, j in enumerate(comp.right):
+        bit = 1 << rp
+        c = psi.get(j)
+        if c is not None:
+            colored_at[c] = bit
+            right_colors |= 1 << c
+            continue
+        uncolored |= bit
+        m = state.colors_on(j) & left_colors if left_colors else 0
+        while m:
+            c = (m & -m).bit_length() - 1
+            m &= m - 1
+            near[c] = near.get(c, 0) | bit
+    rows = []
+    for i, row in zip(comp.left, comp.rows):
+        c = psi.get(i)
+        if c is not None:
+            row &= colored_at.get(c, 0) | (uncolored & ~near.get(c, 0))
+        elif row:
+            m = state.colors_on(i) & right_colors
+            while m:
+                row &= ~colored_at[(m & -m).bit_length() - 1]
+                m &= m - 1
+        rows.append(row)
+    return BipartiteGraph(comp.left, comp.right, tuple(rows))
 
 
 def _color_matched(
@@ -306,17 +338,17 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
         et = classify_edge(order, i)
         queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
         if et.kind == 4:
-            process_edge_1(state, queue, (u, v))
-            c1 = state.colors_used()
-            scheme1 = [state.psi[q] for q in queue]
-            for q in queue:
-                state.unassign(q)
             process_edge_2(state, queue, u, v, et.x)
             c2 = state.colors_used()
-            if c1 <= c2:
+            scheme2 = [state.psi[q] for q in queue]
+            for q in queue:
+                state.unassign(q)
+            process_edge_1(state, queue, (u, v))
+            c1 = state.colors_used()
+            if c1 > c2:
                 for q in queue:
                     state.unassign(q)
-                for q, c in zip(queue, scheme1):
+                for q, c in zip(queue, scheme2):
                     state.assign(q, c)
             choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
         else:

@@ -130,18 +130,6 @@ class RootedSubtree:
     def of(root: int, arcs: Iterable[Sequence[int]]) -> "RootedSubtree":
         return RootedSubtree(root, tuple(Arc(t, h) for t, h in arcs))
 
-    @cached_property
-    def arc_set(self) -> frozenset[Arc]:
-        return frozenset(self.arcs)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        verts = {self.root}
-        for a in self.arcs:
-            verts.add(a.tail)
-            verts.add(a.head)
-        return frozenset(verts)
-
 
 @dataclass(frozen=True)
 class SubtreeReport:
@@ -155,15 +143,16 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
     if not s.arcs:
         violations.append("subtree has no arcs (requests must occupy a fiber link)")
         return SubtreeReport(False, tuple(violations))
+    edges = tree.edge_set
     skeleton: set[tuple[int, int]] = set()
     indeg: dict[int, int] = {}
     for t, h in s.arcs:
         if t == h:
             violations.append(f"arc ({t},{h}) is a self-loop")
             continue
-        if not tree.has_edge(t, h):
+        k = (t, h) if t < h else (h, t)
+        if k not in edges:
             violations.append(f"arc ({t},{h}) is not a host tree edge")
-        k = edge_key(t, h)
         if k in skeleton:
             violations.append(f"skeleton edge {k} used twice")
         skeleton.add(k)
@@ -171,31 +160,34 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
         indeg.setdefault(t, 0)
     if violations:
         return SubtreeReport(False, tuple(violations))
-    touched = set(indeg)
-    if s.root not in touched:
-        violations.append(f"root {s.root} not touched by any arc")
-    if indeg.get(s.root, 0) != 0:
-        violations.append(f"root {s.root} has in-degree {indeg.get(s.root, 0)}")
-    for v in sorted(touched):
-        if v != s.root and indeg.get(v, 0) != 1:
-            violations.append(f"vertex {v} has in-degree {indeg.get(v, 0)}, expected 1")
+    # every arc endpoint is a key of indeg, so the vertices are its keys
+    # plus the root
+    root = s.root
+    if root not in indeg:
+        violations.append(f"root {root} not touched by any arc")
+    if indeg.get(root, 0) != 0:
+        violations.append(f"root {root} has in-degree {indeg[root]}")
+    bad = [v for v, d in indeg.items() if d != 1 and v != root]
+    for v in sorted(bad):
+        violations.append(f"vertex {v} has in-degree {indeg[v]}, expected 1")
     # connected + acyclic: |arcs| = |vertices| - 1 and every vertex reachable
     # from the root along arc directions.
-    if len(s.arcs) != len(s.vertex_set) - 1:
+    vertices = len(indeg) + (root not in indeg)
+    if len(s.arcs) != vertices - 1:
         violations.append("skeleton is not a tree (arc/vertex count mismatch)")
     else:
         out: dict[int, list[int]] = {}
         for t, h in s.arcs:
             out.setdefault(t, []).append(h)
-        reached = {s.root}
-        stack = [s.root]
+        reached = {root}
+        stack = [root]
         while stack:
             u = stack.pop()
             for w in out.get(u, ()):
                 if w not in reached:
                     reached.add(w)
                     stack.append(w)
-        if reached != set(s.vertex_set):
+        if len(reached) != vertices:
             violations.append("skeleton not connected from root along arc directions")
     return SubtreeReport(ok=not violations, violations=tuple(violations))
 

@@ -10,7 +10,8 @@ earlier form exactly: `kuhn_recursive`, `dsatur_recursive` and
 `clique_recursive`, the recursive forms of the package's matching,
 chromatic and clique searches, whose results the package must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
-`edge_complement_bipartite`; and `tree_edges_reference`, the generator's
+`edge_complement_bipartite`; `validate_subtree_reference`, the subtree
+validator as first written; and `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex.  `collide`,
 `subtrees_on_arc` and `induced` are small helpers that only the tests
 need; `graph_of`/`neighbors` and `bipartite_of`/`edges_of` convert the
@@ -31,6 +32,7 @@ from treewave import (
     edge_complement_bipartite,
 )
 from treewave.bounds import _color_bound, _first_fit, _greedy_clique
+from treewave.instances import SubtreeReport, edge_key
 from treewave.rng import XorShift64Star
 
 BRUTE_FORCE_GUARD = 24
@@ -42,7 +44,7 @@ def collide(a, b) -> bool:
     Sharing an undirected link in opposite directions is not a collision;
     the fibers are unidirectional.
     """
-    return not a.arc_set.isdisjoint(b.arc_set)
+    return not set(a.arcs).isdisjoint(b.arcs)
 
 
 def subtrees_on_arc(inst, arc) -> tuple[int, ...]:
@@ -308,7 +310,7 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
                 continue
         elif ci is not None or cj is not None:
             q, c = (j, ci) if ci is not None else (i, cj)
-            if any(c in state.arc_colors[a] for a in state.inst.subtrees[q].arcs):
+            if any(state.arc_colors[a] >> c & 1 for a in state.inst.subtrees[q].arcs):
                 continue
         kept.append((lp, rp))
     return bipartite_of(base.left, base.right, kept)
@@ -443,3 +445,59 @@ def tree_edges_reference(p) -> list[tuple[int, int]]:
         degree[parent] += 1
         degree[k] += 1
     return edges
+
+
+def validate_subtree_reference(tree, s) -> SubtreeReport:
+    """The package's subtree validator as first written: `has_edge` and
+    `edge_key` per arc, and the vertex set rebuilt from root and arcs."""
+    violations: list[str] = []
+    if not s.arcs:
+        violations.append("subtree has no arcs (requests must occupy a fiber link)")
+        return SubtreeReport(False, tuple(violations))
+    skeleton: set[tuple[int, int]] = set()
+    indeg: dict[int, int] = {}
+    for t, h in s.arcs:
+        if t == h:
+            violations.append(f"arc ({t},{h}) is a self-loop")
+            continue
+        if not tree.has_edge(t, h):
+            violations.append(f"arc ({t},{h}) is not a host tree edge")
+        k = edge_key(t, h)
+        if k in skeleton:
+            violations.append(f"skeleton edge {k} used twice")
+        skeleton.add(k)
+        indeg[h] = indeg.get(h, 0) + 1
+        indeg.setdefault(t, 0)
+    if violations:
+        return SubtreeReport(False, tuple(violations))
+    vertex_set = {s.root}
+    for a in s.arcs:
+        vertex_set.add(a.tail)
+        vertex_set.add(a.head)
+    touched = set(indeg)
+    if s.root not in touched:
+        violations.append(f"root {s.root} not touched by any arc")
+    if indeg.get(s.root, 0) != 0:
+        violations.append(f"root {s.root} has in-degree {indeg.get(s.root, 0)}")
+    for v in sorted(touched):
+        if v != s.root and indeg.get(v, 0) != 1:
+            violations.append(f"vertex {v} has in-degree {indeg.get(v, 0)}, expected 1")
+    # connected + acyclic: |arcs| = |vertices| - 1 and every vertex reachable
+    # from the root along arc directions.
+    if len(s.arcs) != len(vertex_set) - 1:
+        violations.append("skeleton is not a tree (arc/vertex count mismatch)")
+    else:
+        out: dict[int, list[int]] = {}
+        for t, h in s.arcs:
+            out.setdefault(t, []).append(h)
+        reached = {s.root}
+        stack = [s.root]
+        while stack:
+            u = stack.pop()
+            for w in out.get(u, ()):
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if reached != vertex_set:
+            violations.append("skeleton not connected from root along arc directions")
+    return SubtreeReport(ok=not violations, violations=tuple(violations))

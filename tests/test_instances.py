@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import collide, collide_naive, load_naive, on_arc_naive, subtrees_on_arc
+from oracles import (
+    collide,
+    collide_naive,
+    load_naive,
+    on_arc_naive,
+    subtrees_on_arc,
+    validate_subtree_reference,
+)
 from treewave import (
     Arc,
     HostTree,
@@ -84,6 +94,102 @@ class TestValidateSubtree:
     def test_both_directions_of_one_edge(self, p3_tree):
         rep = validate_subtree(p3_tree, RootedSubtree.of(0, [[0, 1], [1, 0]]))
         assert not rep.ok
+
+
+MUTATIONS = (
+    "none",
+    "empty",
+    "self_loop",
+    "non_edge",
+    "repeated_edge",
+    "untouched_root",
+    "root_in_degree",
+    "in_degree_2",
+    "disconnected",
+    "reversed",
+    "arbitrary",
+)
+
+
+def _mutate(tree: HostTree, s: RootedSubtree, kind: str, pick) -> RootedSubtree:
+    """`s` changed by one mutation `kind`; `pick(seq)` chooses one element."""
+    arcs = list(s.arcs)
+    vertices = range(tree.vertices + 1)  # one past the end is never a vertex
+    at = pick(range(len(arcs) + 1))
+    if kind == "empty":
+        return RootedSubtree(s.root, ())
+    if kind == "self_loop":
+        v = pick(vertices)
+        arcs.insert(at, Arc(v, v))
+    elif kind == "non_edge":
+        a, b = pick(vertices), pick(vertices)
+        if a == b or tree.has_edge(a, b):
+            b = tree.vertices
+        arcs.insert(at, Arc(a, b))
+    elif kind == "repeated_edge":
+        t, h = pick(s.arcs)
+        arcs.insert(at, pick((Arc(t, h), Arc(h, t))))
+    elif kind == "untouched_root":
+        touched = {v for a in arcs for v in a}
+        return RootedSubtree(pick([v for v in vertices if v not in touched]), s.arcs)
+    elif kind == "root_in_degree":
+        return RootedSubtree(pick(s.arcs).head, s.arcs)
+    elif kind == "in_degree_2":
+        t, h = pick(s.arcs)
+        arcs.insert(at, Arc(pick([x for x in vertices if x not in (t, h)]), h))
+    elif kind == "disconnected":
+        del arcs[pick(range(len(arcs)))]
+    elif kind == "reversed":
+        k = pick(range(len(arcs)))
+        arcs[k] = Arc(arcs[k].head, arcs[k].tail)
+    elif kind == "arbitrary":
+        arcs = [Arc(pick(vertices), pick(vertices)) for _ in range(pick(range(1, 6)))]
+        return RootedSubtree(pick(vertices), tuple(arcs))
+    return RootedSubtree(s.root, tuple(arcs))
+
+
+def _mutated_subtrees(seed: int, pick):
+    inst = make_instance(seed, max_vertices=12, max_subtrees=6, max_arcs=6)
+    for s in inst.subtrees:
+        yield inst.tree, s
+        for kind in MUTATIONS[1:]:
+            yield inst.tree, _mutate(inst.tree, s, kind, pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_validate_subtree_matches_reference(seed, data):
+    """Same `ok` and the same violations, in order, as the validator as
+    first written, on generated subtrees and on every kind of mutation."""
+    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+    for tree, s in _mutated_subtrees(seed, pick):
+        assert validate_subtree(tree, s) == validate_subtree_reference(tree, s)
+
+
+def test_subtree_mutations_reach_every_violation():
+    """The mutations above produce every message the validator has, so
+    the equality test compares each of them."""
+    patterns = {
+        r"^subtree has no arcs": 0,
+        r"^arc .* is a self-loop$": 0,
+        r"^arc .* is not a host tree edge$": 0,
+        r"^skeleton edge .* used twice$": 0,
+        r"^root \d+ not touched by any arc$": 0,
+        r"^root \d+ has in-degree \d+$": 0,
+        r"^vertex \d+ has in-degree \d+, expected 1$": 0,
+        r"arc/vertex count mismatch": 0,
+        r"^skeleton not connected from root": 0,
+    }
+    for seed in range(80):
+        rng = random.Random(seed)
+        for tree, s in _mutated_subtrees(seed, lambda seq: rng.choice(list(seq))):
+            rep = validate_subtree(tree, s)
+            assert rep == validate_subtree_reference(tree, s)
+            for v in rep.violations:
+                for p in patterns:
+                    if re.search(p, v):
+                        patterns[p] += 1
+    assert all(patterns.values()), patterns
 
 
 class TestCollide:
