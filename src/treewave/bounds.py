@@ -27,6 +27,7 @@ from .instances import (
     LimitError,
     RootedSubtree,
     edge_key,
+    edge_sides,
     load,
     subtrees_on_edge,
 )
@@ -58,13 +59,16 @@ def normalize(inst: Instance) -> NormalizedInstance:
     Padding is appended per undirected edge in input order, (min,max)
     direction before (max,min), so the result is deterministic.  `inst`
     is already validated and a single-arc subtree rooted at its tail is
-    valid, so the padded instance is built unchecked; its per-arc index
-    extends the original one, each arc's padding taking the next
-    positions in order.
+    valid, so the padded instance is built unchecked, with both arc
+    tables extended from the original's: each arc's padding takes the
+    next subtree indices in order, an arc no original uses takes the next
+    arc position, and all padding on one arc shares one position tuple.
     """
     target = load(inst)
     padding: list[RootedSubtree] = []
     index = dict(inst.per_arc_index)
+    position = {a: p for p, a in enumerate(index)}
+    positions = list(inst.arc_positions)
     for u, v in inst.tree.edges:
         a, b = edge_key(u, v)
         for arc in (Arc(a, b), Arc(b, a)):
@@ -74,7 +78,13 @@ def normalize(inst: Instance) -> NormalizedInstance:
                 start = inst.size + len(padding)
                 index[arc] = on_arc + tuple(range(start, start + deficit))
                 padding.extend([RootedSubtree(arc.tail, (arc,))] * deficit)
-    padded = Instance._trusted(inst.tree, inst.subtrees + tuple(padding), index)
+                p = position.get(arc)
+                if p is None:
+                    p = position[arc] = len(position)
+                positions.extend([(p,)] * deficit)
+    padded = Instance._trusted(
+        inst.tree, inst.subtrees + tuple(padding), index, tuple(positions)
+    )
     return NormalizedInstance(padded, inst.size)
 
 
@@ -88,7 +98,7 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     population = subtrees_on_edge(inst, edge)
     if not population:
         return 0
-    comp = _complement_bipartite(inst, edge, population)
+    comp = _complement_bipartite(inst, *edge_sides(inst, *edge))
     return len(population) - max_bipartite_matching(comp).size
 
 
@@ -315,8 +325,7 @@ def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
 def first_fit_baseline(inst: Instance) -> Coloring:
     """Naive comparison baseline: first-fit in input order."""
     state = ArcColors(inst)
-    for i in range(inst.size):
-        state.assign(i, state.first_fit(i))
+    state.assign_first_fit(range(inst.size))
     return Coloring(state.psi)
 
 

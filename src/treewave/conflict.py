@@ -10,12 +10,13 @@ stored as bitmask rows: `ConflictGraph.masks` over subtree indices,
 `BipartiteGraph.rows` from left positions over right positions.  Both
 are built from per-arc masks, never by testing pairs: a conflict row ORs
 the cliques of its subtree's arcs, a complement row clears the right
-positions on its left's arcs.
+positions on its left's arcs, read by arc position.
 
-`edge_complement_bipartite` checks its edge and subset and then calls
-the unchecked builder `_complement_bipartite`, which the greedy colorer
-and the per-edge lower bound call directly on populations they read off
-the instance's own index; neither path builds a graph twice.
+`edge_complement_bipartite` checks its edge and subset, splits the subset
+by direction and then calls the unchecked builder `_complement_bipartite`
+with the two sides; the greedy colorer and the per-edge lower bound call
+it directly on sides they read off the instance's own index, so neither
+path builds a graph twice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .instances import Arc, Instance, InputError, edge_key, subtrees_on_edge
+from .instances import Instance, InputError, edge_key, edge_sides, subtrees_on_edge
 
 
 @dataclass(frozen=True)
@@ -75,33 +76,29 @@ class BipartiteGraph:
 
 
 def _complement_bipartite(
-    inst: Instance, edge: Sequence[int], members: Sequence[int]
+    inst: Instance, left: Sequence[int], right: Sequence[int]
 ) -> BipartiteGraph:
     """Unchecked core of `edge_complement_bipartite`.
 
-    `members` must be ascending, distinct and present on the host edge
-    `edge`.  Each right position's bit is ORed once into a mask per arc
-    it occupies; left position lp's row is then every right position
-    less the masks of its own arcs, since two subtrees collide exactly
-    when they share an arc.
+    `left` and `right` must be ascending and hold subtrees on the
+    (min,max) and on the (max,min) arc of one host edge.  Each right
+    position's bit is ORed once into a mask per arc position it occupies;
+    left position lp's row is then every right position less the masks of
+    its own arcs, since two subtrees collide exactly when they share an
+    arc.
     """
-    on_fwd = set(inst.per_arc_index.get(Arc(*edge_key(*edge)), ()))
-    subtrees = inst.subtrees
-    left: list[int] = []
-    right: list[int] = []
-    for i in members:
-        (left if i in on_fwd else right).append(i)
-    on_arc: dict[Arc, int] = {}
+    positions = inst.arc_positions
+    on_arc: dict[int, int] = {}
     for rp, j in enumerate(right):
         bit = 1 << rp
-        for a in subtrees[j].arcs:
-            on_arc[a] = on_arc.get(a, 0) | bit
+        for p in positions[j]:
+            on_arc[p] = on_arc.get(p, 0) | bit
     full = (1 << len(right)) - 1
     rows = []
     for i in left:
         taken = 0
-        for a in subtrees[i].arcs:
-            taken |= on_arc.get(a, 0)
+        for p in positions[i]:
+            taken |= on_arc.get(p, 0)
         rows.append(full & ~taken)
     return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
 
@@ -124,4 +121,9 @@ def edge_complement_bipartite(
         if i not in on_edge:
             a, b = edge_key(*edge)
             raise InputError(f"subtree {i} is not present on edge {{{a},{b}}}")
-    return _complement_bipartite(inst, edge, sorted(subset))
+    on_left = set(edge_sides(inst, *edge)[0])
+    left: list[int] = []
+    right: list[int] = []
+    for i in sorted(subset):
+        (left if i in on_left else right).append(i)
+    return _complement_bipartite(inst, left, right)

@@ -10,10 +10,12 @@ matching in a complement conflict graph, and commits whichever scheme
 ends the round with fewer distinct colors in use.
 
 Two subtrees conflict exactly when they share an arc, so the state is
-kept per arc (`ArcColors`), as one color bitmask per arc, and no
-conflict graph is built.  A fork round builds its reuse graph from the
-edge's complement rows, read off the instance's own index, and ANDs each
-row with a mask of the right positions its left may share a color with.
+kept per arc (`ArcColors`), as one color bitmask per arc in a list
+indexed by the instance's dense arc positions (`Instance.arc_positions`),
+and no conflict graph is built.  Each round reads the two directions of
+its edge straight from the instance's per-arc index.  A fork round
+builds its reuse graph from the edge's complement rows and ANDs each row
+with a mask of the right positions its left may share a color with.
 It runs scheme 2 first, then scheme 1, and puts scheme 2 back only when
 scheme 1 uses more colors, so the usual winner costs no undo; the trace
 keeps per-round deltas.  The instance was validated when it was built;
@@ -25,18 +27,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .conflict import BipartiteGraph, _complement_bipartite
 from .instances import (
-    Arc,
     Coloring,
     HostTree,
     InputError,
     Instance,
     InternalError,
     edge_key,
-    subtrees_on_edge,
+    edge_sides,
 )
 from .matching import max_bipartite_matching
 
@@ -115,17 +116,19 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
 class ArcColors:
     """Partial coloring kept per arc, the greedy's whole state.
 
-    `psi` maps colored subtrees to colors, `arc_colors` each arc to the
-    mask of the colors on it (bit c set iff color c is on the arc; bit 0
-    is never used), and `color_count` each color in use to its number of
-    subtrees.  The coloring stays valid, so a color sits on an arc for at
-    most one subtree and `unassign` may simply clear its bit.
+    `psi` maps colored subtrees to colors, `arc_colors` each arc position
+    (`Instance.arc_positions`) to the mask of the colors on that arc (bit
+    c set iff color c is on the arc; bit 0 is never used), and
+    `color_count` each color in use to its number of subtrees.  The
+    coloring stays valid, so a color sits on an arc for at most one
+    subtree and `unassign` may simply clear its bit.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
+        self.positions = inst.arc_positions
         self.psi: dict[int, int] = {}
-        self.arc_colors: dict[Arc, int] = dict.fromkeys(inst.per_arc_index, 0)
+        self.arc_colors: list[int] = [0] * len(inst.per_arc_index)
         self.color_count: dict[int, int] = {}
 
     def colors_on(self, *subtrees: int) -> int:
@@ -133,8 +136,8 @@ class ArcColors:
         arc_colors = self.arc_colors
         colors = 0
         for i in subtrees:
-            for a in self.inst.subtrees[i].arcs:
-                colors |= arc_colors[a]
+            for p in self.positions[i]:
+                colors |= arc_colors[p]
         return colors
 
     def first_fit(self, *subtrees: int) -> int:
@@ -146,19 +149,40 @@ class ArcColors:
         self.psi[i] = c
         arc_colors = self.arc_colors
         bit = 1 << c
-        for a in self.inst.subtrees[i].arcs:
-            arc_colors[a] |= bit
+        for p in self.positions[i]:
+            arc_colors[p] |= bit
         self.color_count[c] = self.color_count.get(c, 0) + 1
 
     def unassign(self, i: int) -> None:
         c = self.psi.pop(i)
         arc_colors = self.arc_colors
         bit = 1 << c
-        for a in self.inst.subtrees[i].arcs:
-            arc_colors[a] ^= bit
+        for p in self.positions[i]:
+            arc_colors[p] ^= bit
         self.color_count[c] -= 1
         if not self.color_count[c]:
             del self.color_count[c]
+
+    def assign_first_fit(self, queue: Iterable[int]) -> None:
+        """Color each subtree of `queue` first-fit, in order, in one pass.
+
+        Same result as `assign(q, first_fit(q))` for each q in turn.
+        """
+        psi = self.psi
+        arc_colors = self.arc_colors
+        positions = self.positions
+        count = self.color_count
+        for q in queue:
+            ps = positions[q]
+            taken = 1
+            for p in ps:
+                taken |= arc_colors[p]
+            bit = ~taken & (taken + 1)
+            for p in ps:
+                arc_colors[p] |= bit
+            c = bit.bit_length() - 1
+            psi[q] = c
+            count[c] = count.get(c, 0) + 1
 
     def colors_used(self) -> int:
         return len(self.color_count)
@@ -166,17 +190,17 @@ class ArcColors:
 
 def process_edge_simple(state: ArcColors, queue: Sequence[int]) -> None:
     """Color every subtree in `queue` first-fit, in ascending index order."""
-    for q in queue:
-        state.assign(q, state.first_fit(q))
+    state.assign_first_fit(queue)
 
 
 def _reuse_graph(
-    state: ArcColors, edge: tuple[int, int], members: Sequence[int]
+    state: ArcColors, left: Sequence[int], right: Sequence[int]
 ) -> BipartiteGraph:
-    """Pairs of `members` (ascending, on one host edge) that may share a color.
+    """Pairs of two sides of one host edge that may share a color.
 
-    The complement of the conflict graph restricted to the edge
-    (bipartite by direction), without the pairs that must not be merged:
+    `left` and `right` are ascending subtrees on the (min,max) and on the
+    (max,min) arc.  The result is the complement of the conflict graph
+    restricted to them, without the pairs that must not be merged:
     two colored subtrees with different colors, and uncolored/colored
     pairs where the colored one's color already sits on an arc of the
     uncolored one.  Each row of the complement is ANDed with the mask of
@@ -186,7 +210,7 @@ def _reuse_graph(
     rights whose arcs carry color c, for the colors of colored lefts.
     """
     psi = state.psi
-    comp = _complement_bipartite(state.inst, edge, members)
+    comp = _complement_bipartite(state.inst, left, right)
     left_colors = 0
     for i in comp.left:
         if i in psi:
@@ -261,11 +285,15 @@ def process_edge_1(
     Matches the edge's population (colored plus queued) in the reuse
     graph and colors the queue from that matching.
     """
+    psi = state.psi
     qset = set(queue)
-    members = [
-        i for i in subtrees_on_edge(state.inst, edge) if i in state.psi or i in qset
-    ]
-    _color_matched(state, queue, _reuse_graph(state, edge, members))
+    fwd, bwd = edge_sides(state.inst, *edge)
+    bip = _reuse_graph(
+        state,
+        [i for i in fwd if i in psi or i in qset],
+        [i for i in bwd if i in psi or i in qset],
+    )
+    _color_matched(state, queue, bip)
 
 
 def process_edge_2(
@@ -280,17 +308,14 @@ def process_edge_2(
     """
     psi = state.psi
     qset = set(queue)
-    on_uv = set(subtrees_on_edge(state.inst, (u, v)))
-    members = [
-        i
-        for i in subtrees_on_edge(state.inst, (u, x))
-        if (i in psi and i not in on_uv) or i in qset
-    ]
-    bip = _reuse_graph(state, (u, x), members)
-    _color_matched(state, [i for i in members if i in qset], bip)
-    for q in queue:
-        if q not in psi:
-            state.assign(q, state.first_fit(q))
+    uv_fwd, uv_bwd = edge_sides(state.inst, u, v)
+    on_uv = set(uv_fwd + uv_bwd)
+    fwd, bwd = edge_sides(state.inst, u, x)
+    left = [i for i in fwd if (i in psi and i not in on_uv) or i in qset]
+    right = [i for i in bwd if (i in psi and i not in on_uv) or i in qset]
+    bip = _reuse_graph(state, left, right)
+    _color_matched(state, sorted(i for i in left + right if i in qset), bip)
+    state.assign_first_fit([q for q in queue if q not in psi])
 
 
 @dataclass(frozen=True)
@@ -334,13 +359,15 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     state = ArcColors(inst)
     trace: list[RoundState] = []
     choices: list[SchemeChoice] = []
+    psi = state.psi
     for i, (u, v) in enumerate(order.edges, 1):
         et = classify_edge(order, i)
-        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
+        fwd, bwd = edge_sides(inst, u, v)
+        queue = tuple(j for j in sorted(fwd + bwd) if j not in psi)
         if et.kind == 4:
             process_edge_2(state, queue, u, v, et.x)
             c2 = state.colors_used()
-            scheme2 = [state.psi[q] for q in queue]
+            scheme2 = [psi[q] for q in queue]
             for q in queue:
                 state.unassign(q)
             process_edge_1(state, queue, (u, v))
@@ -355,7 +382,7 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
             process_edge_simple(state, queue)
         trace.append(RoundState(i, (u, v), queue, state.colors_used(), et.kind))
     return GreedyResult(
-        coloring=Coloring(state.psi),
+        coloring=Coloring(psi),
         trace=tuple(trace),
         scheme_choices=tuple(choices),
     )

@@ -223,11 +223,13 @@ class Instance:
         tree: HostTree,
         subtrees: tuple[RootedSubtree, ...],
         per_arc_index: Mapping[Arc, tuple[int, ...]] | None = None,
+        arc_positions: tuple[tuple[int, ...], ...] | None = None,
     ) -> "Instance":
-        """An instance built without validation, optionally with its index.
+        """An instance built without validation, optionally with its arc tables.
 
-        The caller guarantees what `__post_init__` would check, and that a
-        given `per_arc_index` equals the one this instance would compute.
+        The caller guarantees what `__post_init__` would check and, when
+        it hands over `per_arc_index` and `arc_positions` (both or
+        neither), that they equal the tables this instance would compute.
         Never call it on data that came from outside the package.
         """
         inst = object.__new__(cls)
@@ -235,16 +237,45 @@ class Instance:
         object.__setattr__(inst, "subtrees", subtrees)
         if per_arc_index is not None:
             inst.__dict__["per_arc_index"] = per_arc_index
+            inst.__dict__["arc_positions"] = arc_positions
         return inst
+
+    def _index_arcs(self) -> None:
+        """Build `per_arc_index` and `arc_positions` in one pass."""
+        position: dict[Arc, int] = {}
+        members: list[list[int]] = []
+        positions = []
+        for i, s in enumerate(self.subtrees):
+            row = []
+            for a in s.arcs:
+                p = position.get(a)
+                if p is None:
+                    p = position[a] = len(members)
+                    members.append([i])
+                else:
+                    members[p].append(i)
+                row.append(p)
+            positions.append(tuple(row))
+        self.__dict__["per_arc_index"] = {
+            a: tuple(ix) for a, ix in zip(position, members)
+        }
+        self.__dict__["arc_positions"] = tuple(positions)
 
     @cached_property
     def per_arc_index(self) -> Mapping[Arc, tuple[int, ...]]:
-        """Arc -> ascending indices of the subtrees present on that arc."""
-        index: dict[Arc, list[int]] = {}
-        for i, s in enumerate(self.subtrees):
-            for a in s.arcs:
-                index.setdefault(a, []).append(i)
-        return {a: tuple(ix) for a, ix in index.items()}
+        """Arc -> ascending indices of the subtrees present on that arc.
+
+        An arc's position is its place in this mapping's key order, which
+        is the order arcs first occur in the subtrees.
+        """
+        self._index_arcs()
+        return self.__dict__["per_arc_index"]
+
+    @cached_property
+    def arc_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per subtree, the positions of its arcs in `per_arc_index`."""
+        self._index_arcs()
+        return self.__dict__["arc_positions"]
 
     @property
     def size(self) -> int:
@@ -256,13 +287,27 @@ def load(inst: Instance) -> int:
     return max((len(ix) for ix in inst.per_arc_index.values()), default=0)
 
 
+def edge_sides(
+    inst: Instance, u: int, v: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ascending indices of the subtrees on the (min,max) and on the
+    (max,min) arc of host edge {u,v}.
+
+    Unchecked: {u,v} must be an edge of the host tree.  The two sides are
+    disjoint, since a valid subtree uses an edge in one direction only.
+    """
+    index = inst.per_arc_index
+    if u > v:
+        u, v = v, u
+    return index.get(Arc(u, v), ()), index.get(Arc(v, u), ())
+
+
 def subtrees_on_edge(inst: Instance, edge: Sequence[int]) -> tuple[int, ...]:
     """Ascending indices of subtrees present on either direction of an edge."""
     u, v = edge
     if not inst.tree.has_edge(u, v):
         raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
-    fwd = inst.per_arc_index.get(Arc(u, v), ())
-    bwd = inst.per_arc_index.get(Arc(v, u), ())
+    fwd, bwd = edge_sides(inst, u, v)
     return tuple(sorted(fwd + bwd))
 
 
@@ -277,7 +322,7 @@ class Coloring:
         return len(set(self.assignment.values()))
 
     def is_total(self, n: int) -> bool:
-        return all(i in self.assignment for i in range(n))
+        return all(map(self.assignment.__contains__, range(n)))
 
     def color_list(self, n: int) -> list[int]:
         """Colors in subtree order; raises on a partial coloring."""

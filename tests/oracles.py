@@ -310,7 +310,7 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
                 continue
         elif ci is not None or cj is not None:
             q, c = (j, ci) if ci is not None else (i, cj)
-            if any(state.arc_colors[a] >> c & 1 for a in state.inst.subtrees[q].arcs):
+            if any(state.arc_colors[p] >> c & 1 for p in state.inst.arc_positions[q]):
                 continue
         kept.append((lp, rp))
     return bipartite_of(base.left, base.right, kept)

@@ -28,6 +28,7 @@ from treewave import (
     Instance,
     LimitError,
     RootedSubtree,
+    SweepSpec,
     build_conflict_graph,
     compute_bounds,
     edge_lower_bound,
@@ -39,6 +40,7 @@ from treewave import (
     load,
     max_clique,
     normalize,
+    sweep_items,
     verify_coloring,
 )
 from treewave import instances
@@ -109,6 +111,30 @@ class TestNormalize:
         checked = Instance(padded.tree, padded.subtrees)
         assert padded.per_arc_index == checked.per_arc_index
         assert list(padded.per_arc_index) == list(checked.per_arc_index)
+
+    def test_handed_over_arc_positions_equal_a_validated_rebuild(self, p3_tree, p3_demo):
+        """`normalize` extends both arc tables and hands them over; they
+        equal the tables a validating rebuild computes, and each subtree's
+        positions name exactly its own arcs."""
+
+        def check(inst):
+            checked = Instance(inst.tree, inst.subtrees)
+            assert inst.arc_positions == checked.arc_positions
+            assert list(inst.per_arc_index) == list(checked.per_arc_index)
+            arcs = list(inst.per_arc_index)
+            for s, ps in zip(inst.subtrees, inst.arc_positions, strict=True):
+                assert tuple(arcs[p] for p in ps) == s.arcs
+
+        one_arc = Instance(p3_tree, (RootedSubtree.of(0, [[0, 1]]),) * 2)
+        raws = [p3_demo, Instance(p3_tree, ()), one_arc]
+        raws += [item.instance for item in sweep_items(SweepSpec(120, 5))]
+        for raw in raws:
+            check(raw)
+            padded = normalize(raw).padded
+            assert "arc_positions" in padded.__dict__
+            check(padded)
+        # arcs no original subtree uses: (1,0), (1,2) and (2,1)
+        assert len(normalize(one_arc).padded.per_arc_index) == 4
 
     def test_subtrees_validated_once_at_load(self, monkeypatch):
         calls = []

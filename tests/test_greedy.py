@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oracles import (
     coloring_valid_naive,
     first_fit_naive,
     reuse_graph_reference,
+    subtrees_on_arc,
 )
 from treewave import (
     GenParams,
@@ -37,6 +39,7 @@ from treewave import (
     subtrees_on_edge,
     sweep_items,
 )
+from treewave import instances
 from treewave.greedy import ArcColors, _reuse_graph
 from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
@@ -137,6 +140,43 @@ class TestFirstFit:
         for i, j in itertools.combinations(uncolored, 2):
             assert state.first_fit(i, j) == first_fit_naive(inst, psi, i, j)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batched_first_fit_matches_sequential(self, seed):
+        """`assign_first_fit` leaves the same state as `first_fit` plus
+        `assign` one subtree at a time, on queues of a normalized instance
+        that hold runs of identical single-arc padding subtrees."""
+        inst = normalize(make_instance(seed, max_vertices=8, max_subtrees=12)).padded
+        rng = random.Random(seed)
+        base = ArcColors(inst)
+        for i in rng.sample(range(inst.size), inst.size // 2):
+            c = rng.randint(1, 6)
+            if not base.colors_on(i) >> c & 1:
+                base.assign(i, c)
+        psi = dict(base.psi)
+        uncolored = [i for i in range(inst.size) if i not in psi]
+        start = rng.randint(0, len(uncolored))
+        queue = uncolored[start:] if rng.random() < 0.5 else [
+            i for i in uncolored if rng.random() < 0.6
+        ]
+        sequential, batched = _state(inst, psi), _state(inst, psi)
+        for q in queue:
+            sequential.assign(q, sequential.first_fit(q))
+        batched.assign_first_fit(queue)
+        assert batched.psi == sequential.psi
+        assert list(batched.psi) == list(sequential.psi)
+        assert batched.arc_colors == sequential.arc_colors
+        assert batched.color_count == sequential.color_count
+        assert _state_consistent(batched)
+
+    def test_batched_first_fit_on_a_run_of_duplicates(self, p3_tree):
+        dup = RootedSubtree.of(0, [[0, 1]])
+        inst = Instance(p3_tree, (dup,) * 5 + (RootedSubtree.of(1, [[1, 2]]),))
+        state = _state(inst, {0: 2, 5: 1})
+        state.assign_first_fit([1, 2, 3, 4])
+        assert state.psi == {0: 2, 5: 1, 1: 1, 2: 3, 3: 4, 4: 5}
+        assert _state_consistent(state)
+
 
 class TestProcessEdgeSimple:
     def test_empty_queue_no_change(self, p3_demo):
@@ -216,13 +256,23 @@ def _contiguous(psi) -> bool:
 def _state_consistent(state) -> bool:
     """Per-arc color masks and color counts agree with the assignment."""
     inst, psi = state.inst, state.psi
-    for arc, on_arc in inst.per_arc_index.items():
-        if state.arc_colors[arc] != sum({1 << psi[i] for i in on_arc if i in psi}):
+    for p, on_arc in enumerate(inst.per_arc_index.values()):
+        if state.arc_colors[p] != sum({1 << psi[i] for i in on_arc if i in psi}):
             return False
     counts: dict[int, int] = {}
     for c in psi.values():
         counts[c] = counts.get(c, 0) + 1
     return state.color_count == counts
+
+
+def _sides(inst, edge, members) -> tuple[list[int], list[int]]:
+    """`members` (ascending, on `edge`) split into the subtrees on the
+    (min,max) and on the (max,min) direction."""
+    a, b = min(edge), max(edge)
+    on_left = set(subtrees_on_arc(inst, (a, b)))
+    return [k for k in members if k in on_left], [
+        k for k in members if k not in on_left
+    ]
 
 
 def _replay_with_subroutine_checks(
@@ -252,7 +302,7 @@ def _replay_with_subroutine_checks(
         members1 = [
             k for k in subtrees_on_edge(inst, (u, v)) if k in colored or k in qset
         ]
-        bip1 = _reuse_graph(state, (u, v), members1)
+        bip1 = _reuse_graph(state, *_sides(inst, (u, v), members1))
         assert bip1 == reuse_graph_reference(state, (u, v), members1)
         m1 = max_bipartite_matching(bip1)
         process_edge_1(state, queue, (u, v))
@@ -279,7 +329,7 @@ def _replay_with_subroutine_checks(
             for k in sorted(on_ux)
             if (k in colored and k not in colored_uv) or k in qset
         ]
-        bip2 = _reuse_graph(state, (u, et.x), members2)
+        bip2 = _reuse_graph(state, *_sides(inst, (u, et.x), members2))
         assert bip2 == reuse_graph_reference(state, (u, et.x), members2)
         m2 = max_bipartite_matching(bip2)
         process_edge_2(state, queue, u, v, et.x)
@@ -413,6 +463,28 @@ def test_normalized_star_demo_matches_replay(star_demo):
     psi, forks = _replay_with_subroutine_checks(padded)
     assert forks == 1
     assert dict(greedy_color(padded).coloring.assignment) == psi
+
+
+def test_greedy_reads_edges_from_the_index(monkeypatch):
+    """The round loop and the fork schemes read an edge's two directions
+    straight from the per-arc index, never through the checked, sorting
+    `subtrees_on_edge` (about 210 calls per instance when they did)."""
+    calls = []
+    original = instances.subtrees_on_edge
+
+    def counting(inst, edge):
+        calls.append(edge)
+        return original(inst, edge)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "treewave" and hasattr(module, "subtrees_on_edge"):
+            monkeypatch.setattr(module, "subtrees_on_edge", counting)
+    padded = normalize(generate_instance(GenParams(100, 3, 200, (1, 6), seed=1))).padded
+    assert instances.subtrees_on_edge(padded, padded.tree.edges[0]) and calls
+    calls.clear()
+    result = greedy_color(padded)
+    assert len(result.scheme_choices) > 0
+    assert calls == []
 
 
 # SHA-256 over greedy results (coloring, per-round kind/edge/newly_colored/
