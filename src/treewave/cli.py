@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .bounds import (
@@ -167,7 +168,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             max_arcs=args.max_arcs,
         )
         items = sweep_items(spec)
+    start = time.perf_counter()
     outcome = bench_run(items, solvers, root=args.root, exact_limit=args.exact_limit)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     csv_text = records_to_csv(outcome.records)
     if args.csv:
         Path(args.csv).write_text(csv_text)
@@ -178,8 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print("summary: " + " ".join(summary_lines), file=target)
     for failure in outcome.failures:
         print("FAIL: " + failure, file=sys.stderr)
-    total_ms = sum(sum(r.wall_time_ms.values()) for r in outcome.records)
-    print(f"solver wall time: {total_ms:.1f} ms", file=sys.stderr)
+    print(f"solver wall time: {elapsed_ms:.1f} ms", file=sys.stderr)
     return 0 if outcome.ok else 1
 
 

@@ -108,8 +108,8 @@ def _cell(value) -> str:
 
 
 def records_to_csv(records) -> str:
-    """Bench records as CSV; wall times are deliberately excluded so the
-    bytes depend only on seeds and the solver set."""
+    """Bench records as CSV; records carry no timings, so the bytes
+    depend only on seeds and the solver set."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         lines.append(

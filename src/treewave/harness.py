@@ -10,8 +10,7 @@ ratio above 5/2 fails the whole run.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import (
@@ -167,7 +166,6 @@ class BenchRecord:
     baseline_colors: int | None
     ratio_vs_exact: float | None
     ratio_vs_lower_bound: float | None
-    wall_time_ms: Mapping[str, float] = field(compare=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -230,13 +228,6 @@ class BenchOutcome:
         return not self.failures
 
 
-def _timed(timings: dict, name: str, fn):
-    start = time.perf_counter()
-    out = fn()
-    timings[name] = (time.perf_counter() - start) * 1000.0
-    return out
-
-
 def bench_run(
     items: Iterable[BenchItem],
     solvers: Sequence[str] = ALL_SOLVERS,
@@ -257,18 +248,17 @@ def bench_run(
     failures: list[str] = []
     for item in sorted(items, key=lambda it: it.instance_id):
         inst = item.instance
-        timings: dict[str, float] = {}
         norm = normalize(inst)
         padded = norm.padded
         load_value = load(inst)
 
         lower = None
         if "bounds" in solvers:
-            lower = _timed(timings, "bounds", lambda: global_lower_bound(padded))
+            lower = global_lower_bound(padded)
 
         greedy_padded = greedy_original = None
         if "greedy" in solvers:
-            result = _timed(timings, "greedy", lambda: greedy_color(padded, root))
+            result = greedy_color(padded, root)
             rep = verify_coloring(padded, result.coloring)
             if not rep.ok:
                 failures.append(
@@ -287,7 +277,7 @@ def bench_run(
 
         baseline_colors = None
         if "baseline" in solvers:
-            base = _timed(timings, "baseline", lambda: first_fit_baseline(inst))
+            base = first_fit_baseline(inst)
             rep = verify_coloring(inst, base)
             if not rep.ok:
                 failures.append(
@@ -298,9 +288,7 @@ def bench_run(
         chi = None
         if "exact" in solvers and padded.size <= exact_limit:
             g = build_conflict_graph(padded)
-            chi, witness = _timed(
-                timings, "exact", lambda: exact_chromatic(g, exact_limit)
-            )
+            chi, witness = exact_chromatic(g, exact_limit)
             rep = verify_coloring(padded, witness)
             if not rep.ok:
                 failures.append(
@@ -334,7 +322,6 @@ def bench_run(
                 baseline_colors=baseline_colors,
                 ratio_vs_exact=ratio_exact,
                 ratio_vs_lower_bound=ratio_lower,
-                wall_time_ms=timings,
             )
         )
 

@@ -170,25 +170,14 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
     bad = [v for v, d in indeg.items() if d != 1 and v != root]
     for v in sorted(bad):
         violations.append(f"vertex {v} has in-degree {indeg[v]}, expected 1")
-    # connected + acyclic: |arcs| = |vertices| - 1 and every vertex reachable
-    # from the root along arc directions.
+    # Distinct host edges form a forest, a tree when |arcs| = |vertices| - 1
+    # (never with an untouched root), and a tree is connected from the root
+    # along arc directions iff the root and in-degree checks above all passed.
     vertices = len(indeg) + (root not in indeg)
     if len(s.arcs) != vertices - 1:
         violations.append("skeleton is not a tree (arc/vertex count mismatch)")
-    else:
-        out: dict[int, list[int]] = {}
-        for t, h in s.arcs:
-            out.setdefault(t, []).append(h)
-        reached = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in out.get(u, ()):
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != vertices:
-            violations.append("skeleton not connected from root along arc directions")
+    elif violations:
+        violations.append("skeleton not connected from root along arc directions")
     return SubtreeReport(ok=not violations, violations=tuple(violations))
 
 

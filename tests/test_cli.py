@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -374,6 +375,13 @@ def test_bench_csv_byte_stable(tmp_path):
     assert main(argv + ["--csv", str(csv2)]) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
     assert csv1.read_text().count("\n") == 16
+
+
+def test_bench_reports_one_wall_time_line(capsys):
+    assert main(["bench", "--instances", "3", "--seed", "1"]) == 0
+    err = capsys.readouterr().err
+    assert len(re.findall(r"^solver wall time: \d+\.\d ms$", err, re.M)) == 1
+    assert err.count("solver wall time") == 1
 
 
 def test_bench_fixed_instance(inst_file, tmp_path, capsys):

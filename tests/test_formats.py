@@ -85,7 +85,6 @@ def test_csv_shape_and_missing_cells():
         baseline_colors=2,
         ratio_vs_exact=None,
         ratio_vs_lower_bound=1.0,
-        wall_time_ms={"greedy": 0.3},
     )
     text = records_to_csv([record])
     header, row = text.strip().split("\n")
