@@ -161,8 +161,8 @@ def _first_fit(n: int, masks: Sequence[int]) -> list[int]:
     return colors
 
 
-def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
-    """Exact chromatic number with an optimal witness (1-based colors).
+def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int]:
+    """Exact chromatic number, an optimal witness (1-based colors) and ω.
 
     Branch and bound: a greedy clique is pre-colored 1..k to break color
     symmetry; first-fit gives the initial upper bound and witness, and the
@@ -181,16 +181,16 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     it uses at most one new color and fewer colors than the incumbent.
     """
     if n == 0:
-        return 0, []
+        return 0, [], 0
     clique = _greedy_clique(n, masks)
     lb = len(clique)
     best = _first_fit(n, masks)
     ub = max(best)
     if lb == ub:
-        return ub, best
+        return ub, best, lb
     omega = _max_clique_size(n, masks, lb)
     if omega == ub:
-        return ub, best
+        return ub, best, omega
     colors = [0] * n
     for i, v in enumerate(clique):
         colors[v] = i + 1
@@ -245,9 +245,9 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
                 break
             ub, best = used, list(colors)
             if ub == omega:
-                return ub, best
+                return ub, best, omega
         else:
-            return ub, best
+            return ub, best, omega
 
 
 def _color_bound(cand: int, masks: Sequence[int]) -> int:
@@ -307,7 +307,7 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
     """
     if g.n > limit:
         raise LimitError(f"exact coloring limited to {limit} vertices, got {g.n}")
-    chi, colors = _chromatic_number(g.n, g.masks)
+    chi, colors, _ = _chromatic_number(g.n, g.masks)
     return chi, Coloring({i: c for i, c in enumerate(colors)})
 
 
@@ -341,7 +341,8 @@ class BoundsReport:
 
 
 def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
-    """Bounds report; the exact quantities are skipped when over the guard."""
+    """Bounds report; the exact quantities are skipped when over the guard.
+    Clique number and χ both come from the exact χ search."""
     per_edge = {
         edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in inst.tree.edges
     }
@@ -350,8 +351,7 @@ def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     chi = None
     if inst.size <= limit:
         g = build_conflict_graph(inst)
-        clique = max_clique(g, limit)
-        chi = exact_chromatic(g, limit)[0]
+        chi, _, clique = _chromatic_number(g.n, g.masks)
     return BoundsReport(
         load=load(inst),
         per_edge_bound=per_edge,

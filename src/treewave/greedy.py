@@ -3,11 +3,12 @@
 The colorer processes host tree edges in BFS discovery order, one round
 per edge, coloring every still-uncolored subtree present on that edge.
 Edges are classified 1-4 by how many edges at the earlier-discovered
-endpoint are already processed.  Types 1-3 color first-fit.  Type 4 (a
-degree-3 fork with exactly one processed sibling edge) runs two
-competing schemes that pair up color-shareable subtrees via a maximum
-matching in a complement conflict graph, and commits whichever scheme
-ends the round with fewer distinct colors in use.
+endpoint are already processed; the BFS pass that orders the edges
+records each one's kind.  Types 1-3 color first-fit.  Type 4 (a degree-3
+fork with exactly one processed sibling edge) runs two competing schemes
+that pair up color-shareable subtrees via a maximum matching in a
+complement conflict graph, and commits whichever scheme ends the round
+with fewer distinct colors in use.
 
 Two subtrees conflict exactly when they share an arc, so the state is
 kept per arc (`ArcColors`), as one color bitmask per arc in a list
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .conflict import BipartiteGraph, _complement_bipartite
@@ -36,43 +36,9 @@ from .instances import (
     InputError,
     Instance,
     InternalError,
-    edge_key,
     edge_sides,
 )
 from .matching import max_bipartite_matching
-
-
-@dataclass(frozen=True)
-class EdgeOrder:
-    """Host tree edges in BFS discovery order, earlier endpoint first."""
-
-    tree: HostTree
-    edges: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def position(self) -> dict[tuple[int, int], int]:
-        """Canonical edge -> its 1-based round index."""
-        return {edge_key(u, v): i for i, (u, v) in enumerate(self.edges, 1)}
-
-
-def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
-    """BFS from `root`, neighbors in ascending vertex id; an edge is emitted
-    the moment its far endpoint is discovered."""
-    if not (0 <= root < tree.vertices):
-        raise InputError(f"root {root} out of range for {tree.vertices} vertices")
-    seen = {root}
-    queue = deque([root])
-    edges: list[tuple[int, int]] = []
-    while queue:
-        u = queue.popleft()
-        for w in tree.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                edges.append((u, w))
-                queue.append(w)
-    if len(edges) != len(tree.edges):
-        raise InternalError("BFS did not reach every edge of a valid tree")
-    return EdgeOrder(tree=tree, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -84,8 +50,55 @@ class EdgeType:
     x: int | None = None
 
 
+_SIMPLE_TYPES = (EdgeType(1), EdgeType(2), EdgeType(3))  # by processed-edge count
+
+
+@dataclass(frozen=True)
+class EdgeOrder:
+    """Host tree edges in BFS discovery order, earlier endpoint first, and
+    each edge's type, or why it has none (a vertex of degree above 3)."""
+
+    edges: tuple[tuple[int, int], ...]
+    types: tuple[EdgeType | str, ...]
+
+
+def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
+    """BFS from `root`, neighbors in ascending vertex id; an edge is emitted,
+    and typed, the moment its far endpoint is discovered: at u's k-th child
+    (from 0), u's parent (none at the root) and its k earlier children are
+    processed, and that count with u's degree gives the type."""
+    if not (0 <= root < tree.vertices):
+        raise InputError(f"root {root} out of range for {tree.vertices} vertices")
+    parent: dict[int, int | None] = {root: None}
+    queue = deque([root])
+    edges: list[tuple[int, int]] = []
+    types: list[EdgeType | str] = []
+    while queue:
+        u = queue.popleft()
+        p = parent[u]
+        degree = len(tree.adjacency[u])
+        children = [n for n in tree.adjacency[u] if n not in parent]
+        for k, v in enumerate(children):
+            parent[v] = u
+            edges.append((u, v))
+            queue.append(v)
+            done = k if p is None else k + 1
+            if done == 0 or done == degree - 1 <= 2:  # kind 1, or no sibling pending
+                types.append(_SIMPLE_TYPES[done])
+            elif degree == 3:
+                w = children[0] if p is None else p
+                types.append(EdgeType(4, w=w, x=children[k + 1]))
+            else:
+                types.append(
+                    f"round {len(edges)}: cannot classify edge ({u},{v}), degree {degree}"
+                )
+    if len(edges) != len(tree.edges):
+        raise InternalError("BFS did not reach every edge of a valid tree")
+    return EdgeOrder(edges=tuple(edges), types=tuple(types))
+
+
 def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
-    """Type of the i-th (1-based) edge in the order.
+    """Type of the i-th (1-based) edge in the order, recorded by the BFS pass.
 
     With u the earlier-discovered endpoint: kind 1 if no edge at u is
     processed yet (only round 1), kind 2 if deg(u)=2 and the sibling edge
@@ -95,22 +108,10 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
     """
     if not (1 <= i <= len(order.edges)):
         raise InputError(f"round index {i} out of range")
-    u, v = order.edges[i - 1]
-    siblings = [n for n in order.tree.adjacency[u] if n != v]
-    done = [n for n in siblings if order.position[edge_key(u, n)] < i]
-    pending = [n for n in siblings if order.position[edge_key(u, n)] >= i]
-    if not done:
-        if i != 1:
-            raise InternalError(f"round {i}: no processed edge at vertex {u}")
-        return EdgeType(1)
-    degree_u = len(siblings) + 1
-    if degree_u == 2 and len(done) == 1:
-        return EdgeType(2)
-    if degree_u == 3 and len(done) == 2:
-        return EdgeType(3)
-    if degree_u == 3 and len(done) == 1:
-        return EdgeType(4, w=done[0], x=pending[0])
-    raise InternalError(f"round {i}: cannot classify edge ({u},{v}), degree {degree_u}")
+    et = order.types[i - 1]
+    if isinstance(et, str):
+        raise InternalError(et)
+    return et
 
 
 class ArcColors:

@@ -11,8 +11,11 @@ earlier form exactly: `kuhn_recursive`, `dsatur_recursive` and
 chromatic and clique searches, whose results the package must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
 `edge_complement_bipartite`; `validate_subtree_reference`, the subtree
-validator as first written; and `tree_edges_reference`, the generator's
-tree drawn by rescanning every earlier vertex.  `collide`,
+validator as first written; `tree_edges_reference`, the generator's
+tree drawn by rescanning every earlier vertex; and
+`classify_edge_reference`, the round classifier as first written, which
+rebuilds each round's sibling lists from the edges' round positions.
+`labeled_trees` enumerates every labeled tree on n vertices.  `collide`,
 `subtrees_on_arc` and `induced` are small helpers that only the tests
 need; `graph_of`/`neighbors` and `bipartite_of`/`edges_of` convert the
 package's bitmask rows to and from adjacency and edge lists.
@@ -27,11 +30,14 @@ from treewave import (
     Arc,
     BipartiteGraph,
     ConflictGraph,
+    HostTree,
     InputError,
+    InternalError,
     LimitError,
     edge_complement_bipartite,
 )
 from treewave.bounds import _color_bound, _first_fit, _greedy_clique
+from treewave.greedy import EdgeType
 from treewave.instances import SubtreeReport, edge_key
 from treewave.rng import XorShift64Star
 
@@ -501,3 +507,51 @@ def validate_subtree_reference(tree, s) -> SubtreeReport:
         if reached != vertex_set:
             violations.append("skeleton not connected from root along arc directions")
     return SubtreeReport(ok=not violations, violations=tuple(violations))
+
+
+def labeled_trees(n: int):
+    """Every labeled tree on n >= 2 vertices, decoded from its Prüfer sequence."""
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(u for u in range(n) if degree[u] == 1))
+        yield HostTree.of(n, edges)
+
+
+def classify_edge_reference(tree, edges) -> list[EdgeType]:
+    """Type of every round of the BFS-ordered `edges`, classified as first
+    written: each round's siblings at its earlier endpoint u are split
+    into processed (earlier round) and pending by looking up the round
+    position of each sibling edge, stored under both of its directions."""
+    position = {}
+    for k, (u, v) in enumerate(edges, 1):
+        position[u, v] = position[v, u] = k
+    types = []
+    for i, (u, v) in enumerate(edges, 1):
+        done, pending = [], []
+        for n in tree.adjacency[u]:
+            if n != v:
+                (done if position[u, n] < i else pending).append(n)
+        degree_u = len(tree.adjacency[u])
+        if not done:
+            if i != 1:
+                raise InternalError(f"round {i}: no processed edge at vertex {u}")
+            types.append(EdgeType(1))
+        elif degree_u == 2 and len(done) == 1:
+            types.append(EdgeType(2))
+        elif degree_u == 3 and len(done) == 2:
+            types.append(EdgeType(3))
+        elif degree_u == 3 and len(done) == 1:
+            types.append(EdgeType(4, w=done[0], x=pending[0]))
+        else:
+            raise InternalError(
+                f"round {i}: cannot classify edge ({u},{v}), degree {degree_u}"
+            )
+    return types

@@ -44,6 +44,7 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
+from treewave.bounds import _first_fit, _greedy_clique
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
@@ -472,3 +473,54 @@ def test_compute_bounds_respects_guard(p3_demo):
     report = compute_bounds(p3_demo, limit=1)
     assert report.clique_lower_bound is None
     assert report.exact_chromatic is None
+
+
+
+def _chromatic_exit(g) -> str:
+    """Which return of the exact χ search the conflict graph `g` reaches."""
+    if g.n == 0:
+        return "empty"
+    lb = len(_greedy_clique(g.n, g.masks))
+    ub = max(_first_fit(g.n, g.masks))
+    if lb == ub:
+        return "greedy clique"
+    omega = max_clique(g)
+    if omega == ub:
+        return "clique number"
+    return "search reaches ω" if exact_chromatic(g)[0] == omega else "search exhausted"
+
+
+def _five_cycle() -> Instance:
+    """Five two-arc subtrees on a 3-leaf star whose conflict graph is a
+    5-cycle: ω = 2 and χ = 3, so the χ search never reaches ω."""
+    star = HostTree.of(4, [[0, 1], [0, 2], [0, 3]])
+    subtrees = (
+        RootedSubtree.of(1, [[1, 0], [0, 3]]),
+        RootedSubtree.of(1, [[1, 0], [0, 2]]),
+        RootedSubtree.of(3, [[3, 0], [0, 2]]),
+        RootedSubtree.of(3, [[3, 0], [0, 1]]),
+        RootedSubtree.of(0, [[0, 1], [0, 3]]),
+    )
+    return Instance(star, subtrees)
+
+
+def test_compute_bounds_equals_the_public_oracles():
+    """On random raw instances under the guard and on a 5-cycle, reaching
+    every return of the χ search, the report's clique number and χ are
+    `max_clique` and `exact_chromatic` of the conflict graph."""
+    rng = random.Random(2018)
+    instances = [_five_cycle()]
+    for _ in range(200):
+        params = GenParams(
+            rng.randint(2, 9), 3, rng.randint(0, 24), (1, 4), seed=rng.getrandbits(64)
+        )
+        instances.append(generate_instance(params))
+    names = ("empty", "greedy clique", "clique number", "search reaches ω", "search exhausted")
+    exits = dict.fromkeys(names, 0)
+    for inst in instances:
+        g = build_conflict_graph(inst)
+        report = compute_bounds(inst)
+        assert report.clique_lower_bound == max_clique(g)
+        assert report.exact_chromatic == exact_chromatic(g)[0]
+        exits[_chromatic_exit(g)] += 1
+    assert all(exits.values()), exits

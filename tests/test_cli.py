@@ -106,6 +106,22 @@ def test_exact_and_bound(inst_file, capsys):
     assert doc["exact_chromatic"] == 2
 
 
+def test_exact_and_bound_over_the_limit(inst_file, capsys, p3_demo):
+    """`exact` refuses an instance over its limit with exit 2; `bound`
+    reports the cheap bounds and leaves the exact ones null."""
+    assert main(["exact", str(inst_file), "--limit", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: exact coloring limited to 1 vertices, got {p3_demo.size}\n"
+    )
+    assert main(["bound", str(inst_file), "--limit", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["load"] == 2
+    assert doc["clique_lower_bound"] is None
+    assert doc["exact_chromatic"] is None
+
+
 def test_exact_and_bound_at_raised_limit(tmp_path, capsys):
     """A search deeper than the interpreter's recursion limit still
     finishes: on a 700-vertex path with 1,398 subtrees, first-fit needs 3

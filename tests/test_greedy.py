@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import (
+    classify_edge_reference,
     collide_naive,
     coloring_valid_naive,
     first_fit_naive,
+    labeled_trees,
     reuse_graph_reference,
     subtrees_on_arc,
 )
@@ -22,6 +24,7 @@ from treewave import (
     HostTree,
     InputError,
     Instance,
+    InternalError,
     RootedSubtree,
     SweepSpec,
     bfs_edge_order,
@@ -99,6 +102,49 @@ class TestClassifyEdge:
             classify_edge(order, 0)
         with pytest.raises(InputError):
             classify_edge(order, 3)
+
+    @staticmethod
+    def _assert_matches_reference(tree, root):
+        order = bfs_edge_order(tree, root)
+        types = [classify_edge(order, i) for i in range(1, len(order.edges) + 1)]
+        assert types == classify_edge_reference(tree, order.edges)
+
+    def test_matches_reference_on_every_small_tree_and_root(self):
+        """Every labeled tree of degree <= 3 on 2-7 vertices, under every root."""
+        cases = 0
+        for n in range(2, 8):
+            for tree in labeled_trees(n):
+                if tree.degree_ok:
+                    for root in range(n):
+                        self._assert_matches_reference(tree, root)
+                        cases += 1
+        assert cases == 106_185
+
+    def test_matches_reference_on_random_trees_under_every_root(self):
+        """Seeded random degree-3 trees of 2-40 vertices: vertex k joins a
+        random earlier vertex of degree below 3."""
+        rng = random.Random(20181)
+        for n in range(2, 41):
+            degree = [0] * n
+            edges = []
+            for k in range(1, n):
+                parent = rng.choice([v for v in range(k) if degree[v] < 3])
+                edges.append((parent, k))
+                degree[parent] += 1
+                degree[k] += 1
+            tree = HostTree.of(n, edges)
+            for root in range(n):
+                self._assert_matches_reference(tree, root)
+
+    def test_degree_4_star_has_no_type_after_round_1(self):
+        star = HostTree.of(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        order = bfs_edge_order(star, 0)
+        assert order.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
+        assert classify_edge(order, 1).kind == 1
+        for i in (2, 3, 4):
+            message = rf"^round {i}: cannot classify edge \(0,{i}\), degree 4$"
+            with pytest.raises(InternalError, match=message):
+                classify_edge(order, i)
 
 
 def _state(inst, psi=()) -> ArcColors:

@@ -12,6 +12,7 @@ from conftest import make_instance
 from oracles import (
     collide,
     collide_naive,
+    labeled_trees,
     load_naive,
     on_arc_naive,
     subtrees_on_arc,
@@ -193,29 +194,13 @@ def test_subtree_mutations_reach_every_violation():
     assert all(patterns.values()), patterns
 
 
-def _labeled_trees(n: int):
-    """Every labeled tree on n >= 2 vertices, decoded from its Prüfer sequence."""
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        for v in seq:
-            leaf = degree.index(1)
-            edges.append((leaf, v))
-            degree[leaf] -= 1
-            degree[v] -= 1
-        edges.append(tuple(u for u in range(n) if degree[u] == 1))
-        yield HostTree.of(n, edges)
-
-
 def test_validate_subtree_matches_reference_exhaustively():
     """Every labeled tree on 2-5 vertices, every arc set taking each host
     edge absent, forward or backward, and every root in 0..n, where n is a
     root no arc touches: the same report as the validator as first written."""
     cases = 0
     for n in range(2, 6):
-        for tree in _labeled_trees(n):
+        for tree in labeled_trees(n):
             options = [((), (Arc(u, v),), (Arc(v, u),)) for u, v in tree.edges]
             for choice in itertools.product(*options):
                 arcs = tuple(itertools.chain.from_iterable(choice))
