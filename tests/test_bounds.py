@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import json
 import random
 import signal
@@ -49,6 +50,7 @@ from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
 from treewave.matching import max_bipartite_matching
+from treewave.rng import XorShift64Star, derive_seed
 
 TRIANGLE_PLUS_ISOLATED = ((1, 2), (0, 2), (0, 1), ())
 
@@ -524,3 +526,40 @@ def test_compute_bounds_equals_the_public_oracles():
         assert report.exact_chromatic == exact_chromatic(g)[0]
         exits[_chromatic_exit(g)] += 1
     assert all(exits.values()), exits
+
+
+# SHA-256 over exact_chromatic's χ and witness and max_clique's size on a
+# fixed seeded set; recorded from the exact oracles before their first-fit
+# routines were merged, which the merged form must reproduce byte for byte.
+EXACT_DIGEST = "8608b7ca2d8bb8feb0a89cac25fede12a5e1cab096005db2d7b2dba66d9991a5"
+
+
+def _exact_digest_graphs():
+    """Conflict graphs of 300 raw instances shaped like the benchmark's
+    `oracle` inputs (5-9 vertices, 16-24 subtrees of 1-4 arcs), then 2,000
+    random graphs of 0-14 vertices at random densities."""
+    for i in range(300):
+        rng = XorShift64Star(derive_seed(1, i))
+        vertices = rng.randint(5, 9)
+        count = rng.randint(16, 24)
+        params = GenParams(vertices, 3, count, (1, 4), seed=rng.next_u64())
+        yield build_conflict_graph(generate_instance(params))
+    rng = random.Random(2018)
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        density = rng.random()
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+        yield graph_of(adjacency)
+
+
+def test_exact_results_match_recorded_digest():
+    h = hashlib.sha256()
+    for g in _exact_digest_graphs():
+        chi, witness = exact_chromatic(g)
+        h.update(repr((chi, witness.color_list(g.n), max_clique(g))).encode())
+    assert h.hexdigest() == EXACT_DIGEST
