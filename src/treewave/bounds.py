@@ -110,9 +110,11 @@ def global_lower_bound(inst: Instance) -> int:
 
 
 # Exact-oracle kernels.  Graphs arrive as bitmask adjacency rows:
-# ``masks[v]`` has bit ``u`` set iff ``{u,v}`` is an edge.  Every tie-break
-# is deliberate: lowest index wins among equals, so results, witnesses
-# included, are reproducible everywhere.
+# ``masks[v]`` has bit ``u`` set iff ``{u,v}`` is an edge.  One first-fit
+# routine serves both searches: on the whole graph it gives the χ search's
+# upper bound and witness, on a candidate set the clique search's bound.
+# Every tie-break is deliberate: lowest index wins among equals, so
+# results, witnesses included, are reproducible everywhere.
 
 
 def _greedy_clique(n: int, masks: Sequence[int]) -> list[int]:
@@ -143,49 +145,60 @@ def _greedy_clique(n: int, masks: Sequence[int]) -> list[int]:
     return clique
 
 
-def _first_fit(n: int, masks: Sequence[int]) -> list[int]:
-    """First-fit coloring in index order; colors are 1-based."""
-    colors = [0] * n
-    for v in range(n):
-        used = 0
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u]:
-                used |= 1 << (colors[u] - 1)
-        c = 1
-        while used & (1 << (c - 1)):
-            c += 1
-        colors[v] = c
-    return colors
+def _first_fit_classes(cand: int, masks: Sequence[int]) -> list[int]:
+    """First-fit coloring of the vertices in ``cand`` in ascending index:
+    each joins the lowest class that holds none of its neighbors.  Returns
+    the class masks, class k being color k+1.  On the whole graph this is
+    the χ search's upper bound and witness; on a candidate set the class
+    count bounds the largest clique inside ``cand``."""
+    classes: list[int] = []
+    m = cand
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        placed = False
+        for k in range(len(classes)):
+            if not (masks[v] & classes[k]):
+                classes[k] |= 1 << v
+                placed = True
+                break
+        if not placed:
+            classes.append(1 << v)
+    return classes
 
 
 def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int]:
     """Exact chromatic number, an optimal witness (1-based colors) and ω.
 
     Branch and bound: a greedy clique is pre-colored 1..k to break color
-    symmetry; first-fit gives the initial upper bound and witness, and the
-    clique number ω, searched from the greedy clique's size, the lower
-    bound; vertices are then chosen by maximum saturation (distinct
-    neighbor colors), degree and lowest index breaking ties, and a branch
-    is cut as soon as it cannot use fewer colors than the incumbent.  The
-    incumbent only ever improves strictly and never goes below ω, so the
-    search returns as soon as it reaches ω: that is the witness the full
-    search would end with.
+    symmetry; the classes of `_first_fit_classes` on the whole graph give
+    the initial upper bound and witness, and the clique number ω, searched
+    from the greedy clique's size, the lower bound; vertices are then
+    chosen by maximum saturation (distinct neighbor colors), degree and
+    lowest index breaking ties, and a branch is cut as soon as it cannot
+    use fewer colors than the incumbent.  The incumbent only ever improves
+    strictly and never goes below ω, so the search returns as soon as it
+    reaches ω: that is the witness the full search would end with.
 
     The search is a loop over an explicit stack, so its depth is bounded
     by memory, not by the interpreter's recursion limit.  A frame is
-    ``[vertex, forbidden colors, colors in use before it, next color]``;
-    colors are tried in ascending order, and a color is entered only if
-    it uses at most one new color and fewer colors than the incumbent.
+    ``[vertex, forbidden colors, colors in use before it, next color]``,
+    the forbidden colors kept from the neighbor scan that picked the
+    vertex; colors are tried in ascending order, and a color is entered
+    only if it uses at most one new color and fewer colors than the
+    incumbent.
     """
     if n == 0:
         return 0, [], 0
     clique = _greedy_clique(n, masks)
     lb = len(clique)
-    best = _first_fit(n, masks)
-    ub = max(best)
+    classes = _first_fit_classes((1 << n) - 1, masks)
+    ub = len(classes)
+    best = [0] * n
+    for k, members in enumerate(classes, 1):
+        while members:
+            best[(members & -members).bit_length() - 1] = k
+            members &= members - 1
     if lb == ub:
         return ub, best, lb
     omega = _max_clique_size(n, masks, lb)
@@ -218,13 +231,7 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
                 pick_sat = sat
                 pick_deg = degrees[v]
                 pick = v
-        forbidden = 0
-        m = masks[pick]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u]:
-                forbidden |= 1 << (colors[u] - 1)
+                forbidden = seen
         stack.append([pick, forbidden, used, 1])
         # advance to the next color worth entering, backtracking as needed
         while stack:
@@ -250,34 +257,15 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
             return ub, best, omega
 
 
-def _color_bound(cand: int, masks: Sequence[int]) -> int:
-    """Greedy coloring of the candidate set (ascending index): class count
-    bounds the largest clique inside ``cand``."""
-    classes: list[int] = []
-    m = cand
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        placed = False
-        for k in range(len(classes)):
-            if not (masks[v] & classes[k]):
-                classes[k] |= 1 << v
-                placed = True
-                break
-        if not placed:
-            classes.append(1 << v)
-    return len(classes)
-
-
 def _max_clique_size(n: int, masks: Sequence[int], best: int) -> int:
     """Exact maximum clique size by branch and bound, given the size `best`
     of a clique already known to exist.
 
     Candidates are consumed in ascending index order so each clique is
-    enumerated once; subtrees of the search are cut with the greedy
-    coloring bound and the remaining-candidate count, which only needs to
-    beat `best`.  The search is a loop over a stack of ``[candidates,
-    clique size]`` frames.
+    enumerated once; subtrees of the search are cut with the class count
+    of `_first_fit_classes` on the candidates and with the
+    remaining-candidate count, which only needs to beat `best`.  The
+    search is a loop over a stack of ``[candidates, clique size]`` frames.
     """
     stack = [[(1 << n) - 1, 0]]
     while stack:
@@ -292,7 +280,7 @@ def _max_clique_size(n: int, masks: Sequence[int], best: int) -> int:
         if size > best:
             best = size
         sub = frame[0] & masks[v]
-        if sub and size + _color_bound(sub, masks) > best:
+        if sub and size + len(_first_fit_classes(sub, masks)) > best:
             stack.append([sub, size])
     return best
 

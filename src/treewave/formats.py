@@ -7,9 +7,11 @@ file tests depend on this.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Sequence
 
+from .harness import BenchRecord
 from .instances import HostTree, InputError, Instance, RootedSubtree
 
 
@@ -82,21 +84,7 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     return colors, original
 
 
-CSV_COLUMNS = (
-    "instance_id",
-    "seed",
-    "vertices",
-    "subtrees",
-    "padded_subtrees",
-    "load",
-    "lower_bound",
-    "exact_chromatic",
-    "greedy_colors_padded",
-    "greedy_colors_original",
-    "baseline_colors",
-    "ratio_vs_exact",
-    "ratio_vs_lower_bound",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRecord))
 
 
 def _cell(value) -> str:

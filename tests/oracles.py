@@ -9,6 +9,8 @@ The exceptions are references for fast paths that must reproduce an
 earlier form exactly: `kuhn_recursive`, `dsatur_recursive` and
 `clique_recursive`, the recursive forms of the package's matching,
 chromatic and clique searches, whose results the package must equal;
+`first_fit_reference`, the whole-graph first-fit the χ search once ran,
+whose colors the package's first-fit classes must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
 `edge_complement_bipartite`; `validate_subtree_reference`, the subtree
 validator as first written; `tree_edges_reference`, the generator's
@@ -36,7 +38,7 @@ from treewave import (
     LimitError,
     edge_complement_bipartite,
 )
-from treewave.bounds import _color_bound, _first_fit, _greedy_clique
+from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.greedy import EdgeType
 from treewave.instances import SubtreeReport, edge_key
 from treewave.rng import XorShift64Star
@@ -322,6 +324,24 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
     return bipartite_of(base.left, base.right, kept)
 
 
+def first_fit_reference(n: int, masks: Sequence[int]) -> list[int]:
+    """First-fit coloring in index order; colors are 1-based."""
+    colors = [0] * n
+    for v in range(n):
+        used = 0
+        m = masks[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if colors[u]:
+                used |= 1 << (colors[u] - 1)
+        c = 1
+        while used & (1 << (c - 1)):
+            c += 1
+        colors[v] = c
+    return colors
+
+
 def dsatur_recursive(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
     """The package's exact chromatic search as first written, recursing once
     per colored vertex; keep inputs small.
@@ -337,7 +357,7 @@ def dsatur_recursive(n: int, masks: Sequence[int]) -> tuple[int, list[int]]:
         return 0, []
     clique = _greedy_clique(n, masks)
     lb = len(clique)
-    ff = _first_fit(n, masks)
+    ff = first_fit_reference(n, masks)
     ub = max(ff)
     if lb == ub:
         return ub, ff
@@ -432,7 +452,7 @@ def _clique_expand_recursive(
         if new_size > best:
             best = new_size
         sub = cand & masks[v]
-        if sub and new_size + _color_bound(sub, masks) > best:
+        if sub and new_size + len(_first_fit_classes(sub, masks)) > best:
             best = _clique_expand_recursive(masks, sub, new_size, best)
     return best
 

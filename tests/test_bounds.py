@@ -18,6 +18,7 @@ from oracles import (
     clique_recursive,
     conflict_pairs_naive,
     dsatur_recursive,
+    first_fit_reference,
     graph_of,
     induced,
     subtrees_on_arc,
@@ -45,7 +46,7 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
-from treewave.bounds import _first_fit, _greedy_clique
+from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
@@ -394,6 +395,41 @@ def test_searches_equal_recursive_references(g):
     assert (chi, witness.color_list(g.n)) == expected
 
 
+def _seeded_graph(rng: random.Random, n: int) -> ConflictGraph:
+    """Graph on n vertices, each pair an edge at one density drawn from `rng`."""
+    density = rng.random()
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return graph_of(adjacency)
+
+
+def test_first_fit_classes_equal_the_reference_colors():
+    """On seeded random graphs of 0-20 vertices, each vertex's class on the
+    whole graph is its reference first-fit color, and on random candidate
+    sets the class count is the largest reference color of the induced
+    subgraph."""
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(0, 20)
+        g = _seeded_graph(rng, n)
+        colors = first_fit_reference(n, g.masks)
+        classes = [
+            sum(1 << v for v in range(n) if colors[v] == k)
+            for k in range(1, max(colors, default=0) + 1)
+        ]
+        assert _first_fit_classes((1 << n) - 1, g.masks) == classes
+        for _ in range(5):
+            cand = rng.getrandbits(n)
+            subset = [v for v in range(n) if cand >> v & 1]
+            sub = induced(g, subset)
+            expected = max(first_fit_reference(sub.n, sub.masks), default=0)
+            assert len(_first_fit_classes(cand, g.masks)) == expected
+
+
 @pytest.mark.parametrize("oracle", [exact_chromatic, max_clique])
 def test_oracles_leave_no_reference_cycles(oracle):
     """Everything a search allocates is freed by reference counting, so
@@ -483,7 +519,7 @@ def _chromatic_exit(g) -> str:
     if g.n == 0:
         return "empty"
     lb = len(_greedy_clique(g.n, g.masks))
-    ub = max(_first_fit(g.n, g.masks))
+    ub = max(first_fit_reference(g.n, g.masks))
     if lb == ub:
         return "greedy clique"
     omega = max_clique(g)
@@ -546,15 +582,7 @@ def _exact_digest_graphs():
         yield build_conflict_graph(generate_instance(params))
     rng = random.Random(2018)
     for _ in range(2000):
-        n = rng.randint(0, 14)
-        density = rng.random()
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < density:
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
-        yield graph_of(adjacency)
+        yield _seeded_graph(rng, rng.randint(0, 14))
 
 
 def test_exact_results_match_recorded_digest():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,16 @@ def test_package_functions_do_not_recurse():
                 if name == fn.name:
                     recursive.append(f"{path.name}:{fn.name}")
     assert recursive == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """pyproject.toml declares Python 3.10, so no module may use newer
+    syntax such as ``except*``."""
+    floor = re.search(
+        r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    )
+    assert floor is not None
+    for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
+        ast.parse(
+            path.read_text(), filename=str(path), feature_version=(3, int(floor[1]))
+        )
