@@ -27,6 +27,7 @@ from treewave import (
     ConflictGraph,
     GenParams,
     HostTree,
+    InputError,
     Instance,
     LimitError,
     RootedSubtree,
@@ -172,6 +173,10 @@ class TestEdgeLowerBound:
         dup = RootedSubtree.of(0, [[0, 1]])
         inst = Instance(p3_tree, (dup,) * 5)
         assert edge_lower_bound(inst, (0, 1)) == 5
+
+    def test_non_edge_rejected(self, p3_demo):
+        with pytest.raises(InputError, match=r"^\{0,2\} is not an edge of the host tree$"):
+            edge_lower_bound(p3_demo, (0, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -409,6 +409,37 @@ def test_bench_fixed_instance(inst_file, tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.fixture
+def star4_file(tmp_path):
+    """A star whose centre has degree 4, one subtree per arm."""
+    star = HostTree.of(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    subtrees = tuple(RootedSubtree.of(0, [[0, v]]) for v in range(1, 5))
+    path = tmp_path / "star4.json"
+    path.write_text(dumps_instance(Instance(star, subtrees)))
+    return path
+
+
+@pytest.mark.parametrize("root", [[], ["--root", "9"]])
+def test_color_rejects_degree_4_before_the_root(star4_file, capsys, root):
+    """The degree rule is checked first, so an out-of-range root does not
+    change the message."""
+    assert main(["color", str(star4_file)] + root) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: greedy coloring requires host tree degree <= 3\n"
+
+
+def test_degree_agnostic_commands_accept_degree_4(star4_file, capsys):
+    assert main(["bound", str(star4_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["global_lower_bound"] == 1
+    argv = ["bench", "--instance", str(star4_file), "--solvers", "bounds,baseline,exact"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["exact_chromatic"] == cells["baseline_colors"] == "1"
+    assert cells["greedy_colors_padded"] == ""
+
+
 def test_bench_solver_subset(tmp_path):
     csv = tmp_path / "subset.csv"
     argv = [

@@ -411,7 +411,8 @@ class TestGreedyColor:
     def test_degree_4_rejected(self):
         star5 = HostTree.of(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
         inst = Instance(star5, (RootedSubtree.of(0, [[0, 1]]),))
-        with pytest.raises(InputError):
+        message = r"^greedy coloring requires host tree degree <= 3$"
+        with pytest.raises(InputError, match=message):
             greedy_color(inst)
 
     def test_deterministic(self, star_demo):

@@ -83,3 +83,13 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(
             path.read_text(), filename=str(path), feature_version=(3, int(floor[1]))
         )
+
+
+def test_readme_lists_every_export():
+    """README's export paragraph names every entry of `treewave.__all__`,
+    backticked, so an added or renamed export cannot drift from it."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("`treewave` exports, by module:")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    listed = set(re.findall(r"`(\w+)`", paragraph))
+    assert sorted(set(treewave.__all__) - listed) == []
