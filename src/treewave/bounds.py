@@ -23,13 +23,13 @@ from .greedy import ArcColors
 from .instances import (
     Arc,
     Coloring,
+    InputError,
     Instance,
     LimitError,
     RootedSubtree,
     edge_key,
     edge_sides,
     load,
-    subtrees_on_edge,
 )
 from .matching import max_bipartite_matching
 
@@ -93,13 +93,15 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
 
     This is exact: each direction is a clique, color classes in the
     restriction have size at most 2, and classes of size 2 are exactly
-    matched pairs in the bipartite complement.
+    matched pairs in the bipartite complement.  The population and the
+    complement come from one `edge_sides` read; an unused edge gives 0.
     """
-    population = subtrees_on_edge(inst, edge)
-    if not population:
-        return 0
-    comp = _complement_bipartite(inst, *edge_sides(inst, *edge))
-    return len(population) - max_bipartite_matching(comp).size
+    u, v = edge
+    if not inst.tree.has_edge(u, v):
+        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
+    fwd, bwd = edge_sides(inst, u, v)
+    comp = _complement_bipartite(inst, fwd, bwd)
+    return len(fwd) + len(bwd) - max_bipartite_matching(comp).size
 
 
 def global_lower_bound(inst: Instance) -> int:

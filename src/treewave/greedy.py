@@ -4,7 +4,8 @@ The colorer processes host tree edges in BFS discovery order, one round
 per edge, coloring every still-uncolored subtree present on that edge.
 Edges are classified 1-4 by how many edges at the earlier-discovered
 endpoint are already processed; the BFS pass that orders the edges
-records each one's kind.  Types 1-3 color first-fit.  Type 4 (a degree-3
+records each one's kind, and refuses a host tree of degree above 3, for
+which there is no kind.  Types 1-3 color first-fit.  Type 4 (a degree-3
 fork with exactly one processed sibling edge) runs two competing schemes
 that pair up color-shareable subtrees via a maximum matching in a
 complement conflict graph, and commits whichever scheme ends the round
@@ -56,23 +57,26 @@ _SIMPLE_TYPES = (EdgeType(1), EdgeType(2), EdgeType(3))  # by processed-edge cou
 @dataclass(frozen=True)
 class EdgeOrder:
     """Host tree edges in BFS discovery order, earlier endpoint first, and
-    each edge's type, or why it has none (a vertex of degree above 3)."""
+    each edge's type."""
 
     edges: tuple[tuple[int, int], ...]
-    types: tuple[EdgeType | str, ...]
+    types: tuple[EdgeType, ...]
 
 
 def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
     """BFS from `root`, neighbors in ascending vertex id; an edge is emitted,
     and typed, the moment its far endpoint is discovered: at u's k-th child
     (from 0), u's parent (none at the root) and its k earlier children are
-    processed, and that count with u's degree gives the type."""
+    processed, and that count with u's degree gives the type.  The one
+    check of the degree <= 3 rule, made before the root's."""
+    if not tree.degree_ok:
+        raise InputError("greedy coloring requires host tree degree <= 3")
     if not (0 <= root < tree.vertices):
         raise InputError(f"root {root} out of range for {tree.vertices} vertices")
     parent: dict[int, int | None] = {root: None}
     queue = deque([root])
     edges: list[tuple[int, int]] = []
-    types: list[EdgeType | str] = []
+    types: list[EdgeType] = []
     while queue:
         u = queue.popleft()
         p = parent[u]
@@ -83,15 +87,11 @@ def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
             edges.append((u, v))
             queue.append(v)
             done = k if p is None else k + 1
-            if done == 0 or done == degree - 1 <= 2:  # kind 1, or no sibling pending
+            if done == 0 or done == degree - 1:  # kind 1, or no sibling pending
                 types.append(_SIMPLE_TYPES[done])
-            elif degree == 3:
+            else:  # degree 3, one sibling processed
                 w = children[0] if p is None else p
                 types.append(EdgeType(4, w=w, x=children[k + 1]))
-            else:
-                types.append(
-                    f"round {len(edges)}: cannot classify edge ({u},{v}), degree {degree}"
-                )
     if len(edges) != len(tree.edges):
         raise InternalError("BFS did not reach every edge of a valid tree")
     return EdgeOrder(edges=tuple(edges), types=tuple(types))
@@ -105,13 +105,11 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
     is processed, kind 3 if deg(u)=3 and both siblings are processed,
     kind 4 if deg(u)=3 and exactly one sibling is processed -- then w is
     the processed sibling's far endpoint and x the unprocessed one's.
+    `bfs_edge_order` refused higher degrees, so every round has a type.
     """
     if not (1 <= i <= len(order.edges)):
         raise InputError(f"round index {i} out of range")
-    et = order.types[i - 1]
-    if isinstance(et, str):
-        raise InternalError(et)
-    return et
+    return order.types[i - 1]
 
 
 class ArcColors:
@@ -351,11 +349,10 @@ class GreedyResult:
 def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     """Run the full round-based colorer from the given BFS root.
 
-    Requires host tree degree <= 3.  Deterministic: identical instance
-    and root always produce an identical result.
+    Requires host tree degree <= 3, which `bfs_edge_order` checks.
+    Deterministic: identical instance and root always produce an
+    identical result.
     """
-    if not inst.tree.degree_ok:
-        raise InputError("greedy coloring requires host tree degree <= 3")
     order = bfs_edge_order(inst.tree, root)
     state = ArcColors(inst)
     trace: list[RoundState] = []

@@ -76,13 +76,12 @@ class HostTree:
 
 
 @dataclass(frozen=True)
-class TreeReport:
+class ValidationReport:
     ok: bool
-    degree_ok: bool
     violations: tuple[str, ...]
 
 
-def validate_tree(tree: HostTree) -> TreeReport:
+def validate_tree(tree: HostTree) -> ValidationReport:
     """Check the host-tree invariants; violations are data, not failures."""
     violations: list[str] = []
     n = tree.vertices
@@ -115,8 +114,7 @@ def validate_tree(tree: HostTree) -> TreeReport:
                     stack.append(w)
         if len(reached) != n:
             violations.append("not connected: some vertex unreachable from 0")
-    degree_ok = not violations and tree.degree_ok
-    return TreeReport(ok=not violations, degree_ok=degree_ok, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -131,18 +129,12 @@ class RootedSubtree:
         return RootedSubtree(root, tuple(Arc(t, h) for t, h in arcs))
 
 
-@dataclass(frozen=True)
-class SubtreeReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
+def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
     """Check one rooted subtree against its host tree."""
     violations: list[str] = []
     if not s.arcs:
         violations.append("subtree has no arcs (requests must occupy a fiber link)")
-        return SubtreeReport(False, tuple(violations))
+        return ValidationReport(False, tuple(violations))
     edges = tree.edge_set
     skeleton: set[tuple[int, int]] = set()
     indeg: dict[int, int] = {}
@@ -159,7 +151,7 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
         indeg[h] = indeg.get(h, 0) + 1
         indeg.setdefault(t, 0)
     if violations:
-        return SubtreeReport(False, tuple(violations))
+        return ValidationReport(False, tuple(violations))
     # every arc endpoint is a key of indeg, so the vertices are its keys
     # plus the root
     root = s.root
@@ -178,7 +170,7 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> SubtreeReport:
         violations.append("skeleton is not a tree (arc/vertex count mismatch)")
     elif violations:
         violations.append("skeleton not connected from root along arc directions")
-    return SubtreeReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -186,12 +178,13 @@ class Instance:
     """Host tree plus an ordered multiset of rooted subtrees.
 
     `Instance(tree, subtrees)` validates everything except the degree-3
-    restriction, which only the greedy colorer enforces (generators and
-    the exact oracles are degree-agnostic).  Input is validated once,
-    where it enters; `Instance._trusted` skips the checks and is only for
-    producers inside the package whose output is valid by construction
-    (`normalize` padding a validated instance, `generate_instance`
-    growing a tree and its subtrees).
+    restriction, `HostTree.degree_ok`, which only the greedy's
+    `bfs_edge_order` enforces (generators, lower bounds and the exact
+    oracles are degree-agnostic).  Input is validated once, where it
+    enters; `Instance._trusted` skips the checks and is only for producers
+    inside the package whose output is valid by construction (`normalize`
+    padding a validated instance, `generate_instance` growing a tree and
+    its subtrees).
     """
 
     tree: HostTree
@@ -284,11 +277,13 @@ def edge_sides(
 
     Unchecked: {u,v} must be an edge of the host tree.  The two sides are
     disjoint, since a valid subtree uses an edge in one direction only.
+    Plain tuples look up the `Arc` keys: a NamedTuple hashes and compares
+    equal to the tuple of its fields, and no `Arc` is built per call.
     """
     index = inst.per_arc_index
     if u > v:
         u, v = v, u
-    return index.get(Arc(u, v), ()), index.get(Arc(v, u), ())
+    return index.get((u, v), ()), index.get((v, u), ())
 
 
 def subtrees_on_edge(inst: Instance, edge: Sequence[int]) -> tuple[int, ...]:

@@ -40,7 +40,7 @@ from treewave import (
 )
 from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.greedy import EdgeType
-from treewave.instances import SubtreeReport, edge_key
+from treewave.instances import ValidationReport, edge_key
 from treewave.rng import XorShift64Star
 
 BRUTE_FORCE_GUARD = 24
@@ -473,13 +473,13 @@ def tree_edges_reference(p) -> list[tuple[int, int]]:
     return edges
 
 
-def validate_subtree_reference(tree, s) -> SubtreeReport:
+def validate_subtree_reference(tree, s) -> ValidationReport:
     """The package's subtree validator as first written: `has_edge` and
     `edge_key` per arc, and the vertex set rebuilt from root and arcs."""
     violations: list[str] = []
     if not s.arcs:
         violations.append("subtree has no arcs (requests must occupy a fiber link)")
-        return SubtreeReport(False, tuple(violations))
+        return ValidationReport(False, tuple(violations))
     skeleton: set[tuple[int, int]] = set()
     indeg: dict[int, int] = {}
     for t, h in s.arcs:
@@ -495,7 +495,7 @@ def validate_subtree_reference(tree, s) -> SubtreeReport:
         indeg[h] = indeg.get(h, 0) + 1
         indeg.setdefault(t, 0)
     if violations:
-        return SubtreeReport(False, tuple(violations))
+        return ValidationReport(False, tuple(violations))
     vertex_set = {s.root}
     for a in s.arcs:
         vertex_set.add(a.tail)
@@ -526,7 +526,7 @@ def validate_subtree_reference(tree, s) -> SubtreeReport:
                     stack.append(w)
         if reached != vertex_set:
             violations.append("skeleton not connected from root along arc directions")
-    return SubtreeReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def labeled_trees(n: int):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import (
@@ -48,6 +50,7 @@ from treewave import (
     subtrees_on_edge,
     verify_coloring,
 )
+from treewave.bounds import ORACLE_GUARD
 from treewave.cli import main as cli_main
 from treewave.formats import dumps_instance
 from treewave.rng import XorShift64Star, derive_seed
@@ -351,4 +354,53 @@ def test_criterion_9_edge_classification(certification, p3_tree, star_tree):
         "edge types classify as specified; exactly one first-kind round per run",
         violations,
         f"{len(certification)} runs scanned",
+    )
+
+
+@st.composite
+def small_degree3_instances(draw) -> Instance:
+    """A degree-<=3 tree on 2-10 vertices, each vertex joining an earlier
+    one with spare degree, and 1-10 requests of up to 5 arcs, each grown
+    from its root by taking one arc of the frontier at a time."""
+    n = draw(st.integers(2, 10))
+    degree = [0] * n
+    edges = []
+    for k in range(1, n):
+        parent = draw(st.sampled_from([v for v in range(k) if degree[v] < 3]))
+        degree[parent] += 1
+        degree[k] += 1
+        edges.append((parent, k))
+    tree = HostTree.of(n, edges)
+    subtrees = []
+    for _ in range(draw(st.integers(1, 10))):
+        root = draw(st.integers(0, n - 1))
+        size = draw(st.integers(1, 5))
+        visited = {root}
+        frontier = [(root, nb) for nb in tree.adjacency[root]]
+        arcs = []
+        while frontier and len(arcs) < size:
+            t, h = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+            visited.add(h)
+            arcs.append((t, h))
+            frontier += [(h, nb) for nb in tree.adjacency[h] if nb not in visited]
+        subtrees.append(RootedSubtree.of(root, arcs))
+    return Instance(tree, tuple(subtrees))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=small_degree3_instances())
+def test_targeted_ratio_search(inst):
+    """Hypothesis steers towards the worst greedy/χ it can find on small
+    normalized instances; every one must stay within 5/2 and keep the
+    per-round bound."""
+    padded = normalize(inst).padded
+    assume(padded.size <= ORACLE_GUARD)
+    result = greedy_color(padded)
+    assert verify_coloring(padded, result.coloring).ok
+    assert round_bound_violations(result, load(inst)) == []
+    greedy = result.coloring.colors_used
+    chi = exact_chromatic(build_conflict_graph(padded))[0]
+    target(greedy / chi, label="greedy / chi")
+    assert greedy <= MAX_RATIO * chi, (
+        f"{greedy} colors vs optimum {chi} on {dumps_instance(inst)}"
     )

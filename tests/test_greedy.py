@@ -24,7 +24,6 @@ from treewave import (
     HostTree,
     InputError,
     Instance,
-    InternalError,
     RootedSubtree,
     SweepSpec,
     bfs_edge_order,
@@ -136,15 +135,14 @@ class TestClassifyEdge:
             for root in range(n):
                 self._assert_matches_reference(tree, root)
 
-    def test_degree_4_star_has_no_type_after_round_1(self):
+    def test_degree_4_star_rejected_before_the_root(self):
+        """The BFS pass refuses a vertex of degree 4 before any round is
+        typed, and before it checks the root (9 is out of range)."""
         star = HostTree.of(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        order = bfs_edge_order(star, 0)
-        assert order.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
-        assert classify_edge(order, 1).kind == 1
-        for i in (2, 3, 4):
-            message = rf"^round {i}: cannot classify edge \(0,{i}\), degree 4$"
-            with pytest.raises(InternalError, match=message):
-                classify_edge(order, i)
+        message = r"^greedy coloring requires host tree degree <= 3$"
+        for root in (0, 9):
+            with pytest.raises(InputError, match=message):
+                bfs_edge_order(star, root)
 
 
 def _state(inst, psi=()) -> ArcColors:

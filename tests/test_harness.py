@@ -70,7 +70,7 @@ class TestGenerateInstance:
         inst = generate_instance(params)
         assert list(inst.tree.edges) == tree_edges_reference(params)
         rep = validate_tree(inst.tree)
-        assert rep.ok and rep.degree_ok
+        assert rep.ok and inst.tree.degree_ok
         assert all(len(inst.tree.adjacency[v]) <= degree for v in range(vertices))
         for s in inst.subtrees:
             assert validate_subtree(inst.tree, s).ok

@@ -33,8 +33,8 @@ from treewave import (
 
 class TestValidateTree:
     def test_single_vertex(self):
-        rep = validate_tree(HostTree.of(1, []))
-        assert rep.ok and rep.degree_ok
+        tree = HostTree.of(1, [])
+        assert validate_tree(tree).ok and tree.degree_ok
 
     def test_zero_vertices_invalid(self):
         assert not validate_tree(HostTree.of(0, [])).ok
@@ -62,8 +62,7 @@ class TestValidateTree:
 
     def test_degree_flag_separate(self):
         star5 = HostTree.of(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
-        rep = validate_tree(star5)
-        assert rep.ok and not rep.degree_ok
+        assert validate_tree(star5).ok and not star5.degree_ok
 
 
 class TestValidateSubtree:
