@@ -430,8 +430,13 @@ class TestGreedyColor:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_trace_recurrences(self, seed):
+        """Each round colors exactly the edge's uncolored subtrees, and its
+        color count is both the number of distinct colors and the largest
+        color on the subtrees colored so far (a color never changes once
+        its round ends, so the final coloring gives the round's colors)."""
         inst = make_instance(seed)
         res = greedy_color(inst)
+        psi = res.coloring.assignment
         colored: set[int] = set()
         for rs in res.trace:
             expected_queue = tuple(
@@ -440,8 +445,11 @@ class TestGreedyColor:
             assert rs.newly_colored == expected_queue
             assert colored.isdisjoint(rs.newly_colored)
             colored |= set(rs.newly_colored)
+            so_far = {psi[j] for j in colored}
+            assert rs.colors_used_after == len(so_far) == max(so_far, default=0)
         assert sorted(colored) == list(range(inst.size))
         assert len(res.trace) == len(inst.tree.edges)
+        assert res.trace[-1].colors_used_after == res.coloring.colors_used
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
