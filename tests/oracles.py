@@ -16,7 +16,10 @@ whose colors the package's first-fit classes must equal;
 validator as first written; `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex; and
 `classify_edge_reference`, the round classifier as first written, which
-rebuilds each round's sibling lists from the edges' round positions.
+rebuilds each round's sibling lists from the edges' round positions; and
+`greedy_reference`, the whole greedy as it was when its digest was
+recorded, whose colorings, traces and scheme choices the package must
+equal.
 `labeled_trees` enumerates every labeled tree on n vertices.  `collide`,
 `subtrees_on_arc` and `induced` are small helpers that only the tests
 need; `graph_of`/`neighbors` and `bipartite_of`/`edges_of` convert the
@@ -575,3 +578,121 @@ def classify_edge_reference(tree, edges) -> list[EdgeType]:
                 f"round {i}: cannot classify edge ({u},{v}), degree {degree_u}"
             )
     return types
+
+
+def greedy_reference(inst, root: int = 0):
+    """The whole round-based greedy as it was when its digest was recorded:
+    a conflict graph of neighbour lists, first-fit from each subtree's
+    colored neighbours, and each fork round's two schemes run on `dict`
+    copies of the coloring, scheme 1 winning ties.  Built on the oracles
+    here (`collide_naive`, `kuhn_recursive`, `classify_edge_reference`),
+    so it shares no code with the package's greedy.
+
+    Returns the final coloring, each round's (kind, edge, newly colored,
+    colors used after) and each fork round's (round, edge, chosen scheme,
+    scheme 1 colors, scheme 2 colors).
+    """
+    tree, subtrees = inst.tree, inst.subtrees
+    seen, order, edges = {root}, [root], []
+    for u in order:
+        for w in tree.adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                edges.append((u, w))
+                order.append(w)
+    on_arc: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(subtrees):
+        for t, h in s.arcs:
+            on_arc.setdefault((t, h), []).append(i)
+    adjacency = [
+        sorted({j for t, h in s.arcs for j in on_arc[t, h]} - {i})
+        for i, s in enumerate(subtrees)
+    ]
+
+    def on_edge(u, v):
+        return sorted(on_arc.get((u, v), []) + on_arc.get((v, u), []))
+
+    def neighbour_colors(psi, *group):
+        return {psi[t] for q in group for t in adjacency[q] if t in psi}
+
+    def first_fit(psi, *group):
+        forbidden = neighbour_colors(psi, *group)
+        c = 1
+        while c in forbidden:
+            c += 1
+        return c
+
+    def partners(psi, colored, edge, members):
+        a, b = min(edge), max(edge)
+        forward = set(on_arc.get((a, b), []))
+        left = [i for i in members if i in forward]
+        right = [i for i in members if i not in forward]
+        near = {q: neighbour_colors(psi, q) for q in members if q not in colored}
+        kept = []
+        for lp, i in enumerate(left):
+            for rp, j in enumerate(right):
+                if collide_naive(subtrees[i], subtrees[j]):
+                    continue
+                if i in colored and j in colored:
+                    if psi[i] != psi[j]:
+                        continue
+                elif i in colored or j in colored:
+                    q, p = (j, i) if i in colored else (i, j)
+                    if psi[p] in near[q]:
+                        continue
+                kept.append((lp, rp))
+        partner = {}
+        for lp, rp in kuhn_recursive(bipartite_of(left, right, kept)):
+            partner[left[lp]] = right[rp]
+            partner[right[rp]] = left[lp]
+        return partner
+
+    def color_matched(psi, colored, queue, partner):
+        for q in queue:
+            s = partner.get(q)
+            if s is not None and s in colored:
+                psi[q] = psi[s]
+        for q in queue:
+            if q in psi:
+                continue
+            s = partner.get(q)
+            if s is not None and s not in colored:
+                psi[q] = psi[s] = first_fit(psi, q, s)
+            else:
+                psi[q] = first_fit(psi, q)
+
+    def scheme_1(psi, queue, edge):
+        colored, qset = frozenset(psi), set(queue)
+        members = [i for i in on_edge(*edge) if i in colored or i in qset]
+        color_matched(psi, colored, queue, partners(psi, colored, edge, members))
+
+    def scheme_2(psi, queue, u, v, x):
+        colored, qset = frozenset(psi), set(queue)
+        on_ux = on_edge(u, x)
+        colored_uv = {i for i in on_edge(u, v) if i in colored}
+        members = [
+            i for i in on_ux if (i in colored and i not in colored_uv) or i in qset
+        ]
+        partner = partners(psi, colored, (u, x), members)
+        on_ux_set = set(on_ux)
+        color_matched(psi, colored, [q for q in queue if q in on_ux_set], partner)
+        for q in queue:
+            if q not in psi:
+                psi[q] = first_fit(psi, q)
+
+    psi: dict[int, int] = {}
+    rounds, choices = [], []
+    for i, ((u, v), et) in enumerate(zip(edges, classify_edge_reference(tree, edges)), 1):
+        queue = tuple(j for j in on_edge(u, v) if j not in psi)
+        if et.kind == 4:
+            psi1, psi2 = dict(psi), dict(psi)
+            scheme_1(psi1, queue, (u, v))
+            scheme_2(psi2, queue, u, v, et.x)
+            c1, c2 = len(set(psi1.values())), len(set(psi2.values()))
+            psi = psi1 if c1 <= c2 else psi2
+            choices.append((i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
+        else:
+            for q in queue:
+                psi[q] = first_fit(psi, q)
+        rounds.append((et.kind, (u, v), queue, len(set(psi.values()))))
+    return psi, rounds, choices

@@ -15,6 +15,7 @@ from oracles import (
     collide_naive,
     coloring_valid_naive,
     first_fit_naive,
+    greedy_reference,
     labeled_trees,
     reuse_graph_reference,
     subtrees_on_arc,
@@ -538,6 +539,48 @@ def test_greedy_reads_edges_from_the_index(monkeypatch):
     result = greedy_color(padded)
     assert len(result.scheme_choices) > 0
     assert calls == []
+
+
+def _outputs(inst, root):
+    """Coloring, per-round (kind, edge, newly colored, colors used) and
+    per-fork (round, edge, chosen, scheme 1 and 2 colors) of the greedy,
+    in the form `greedy_reference` returns them."""
+    res = greedy_color(inst, root)
+    rounds = [
+        (rs.kind, rs.edge, rs.newly_colored, rs.colors_used_after) for rs in res.trace
+    ]
+    choices = [
+        (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
+        for c in res.scheme_choices
+    ]
+    return dict(res.coloring.assignment), rounds, choices
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    root=st.integers(0, 39),
+    normalized=st.booleans(),
+)
+def test_matches_whole_greedy_reference(seed, root, normalized):
+    """Raw and normalized instances of 2-40 vertices, at a random root."""
+    inst = make_instance(seed, max_vertices=40, max_subtrees=40, max_arcs=5)
+    if normalized:
+        inst = normalize(inst).padded
+    root %= inst.tree.vertices
+    assert _outputs(inst, root) == greedy_reference(inst, root)
+
+
+def test_matches_whole_greedy_reference_on_color_large_inputs():
+    """The benchmark's 64 seed-1 `color-large` inputs, padded, at root 0."""
+    forks = 0
+    for i in range(64):
+        params = GenParams(100, 3, 200, (1, 6), seed=derive_seed(1, i))
+        padded = normalize(generate_instance(params)).padded
+        expected = greedy_reference(padded, 0)
+        assert _outputs(padded, 0) == expected
+        forks += len(expected[2])
+    assert forks == 2369
 
 
 # SHA-256 over greedy results (coloring, per-round kind/edge/newly_colored/
