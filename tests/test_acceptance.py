@@ -52,7 +52,7 @@ from treewave import (
 )
 from treewave.bounds import ORACLE_GUARD
 from treewave.cli import main as cli_main
-from treewave.formats import dumps_instance
+from treewave.formats import dumps_instance, loads_instance
 from treewave.rng import XorShift64Star, derive_seed
 
 CERT_SEED = 20260809
@@ -404,3 +404,34 @@ def test_targeted_ratio_search(inst):
     assert greedy <= MAX_RATIO * chi, (
         f"{greedy} colors vs optimum {chi} on {dumps_instance(inst)}"
     )
+
+
+# Colors in use after each round of the greedy on the normalized instance,
+# by BFS root, and the fork rounds per root, for the two instances the
+# ratio hill-climbs found at greedy/χ = 5/3 (L = χ = LB = 3).
+RATIO_5_3 = {
+    "path": (((4, 5, 5, 5), (4, 4, 5, 5), (3, 3, 3, 3), (3, 3, 3, 3), (3, 3, 4, 4)), 0),
+    "star": (((4, 5, 5), (4, 5, 5), (3, 3, 3), (3, 3, 3)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_5_3))
+def test_ratio_5_3_golden(name):
+    """At root 0 the first round, which colors first-fit, already puts 4
+    colors on an edge whose bound is 3, and the greedy ends at 5.  On the
+    star the fork round's two schemes tie."""
+    text = (GOLDEN / f"ratio_5_3_{name}_instance.json").read_text()
+    inst = loads_instance(text)
+    assert dumps_instance(inst) == text
+    padded = normalize(inst).padded
+    chi = exact_chromatic(build_conflict_graph(padded))[0]
+    assert load(inst) == global_lower_bound(padded) == chi == 3
+    per_root, forks = RATIO_5_3[name]
+    assert len(per_root) == inst.tree.vertices
+    for root, counts in enumerate(per_root):
+        result = greedy_color(padded, root)
+        assert tuple(rs.colors_used_after for rs in result.trace) == counts
+        assert result.coloring.colors_used == counts[-1]
+        assert len(result.scheme_choices) == forks
+        for c in result.scheme_choices:
+            assert c.colors_scheme1 == c.colors_scheme2 == counts[c.round - 1]
