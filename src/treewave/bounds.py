@@ -315,7 +315,7 @@ def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
 def first_fit_baseline(inst: Instance) -> Coloring:
     """Naive comparison baseline: first-fit in input order."""
     state = ArcColors(inst)
-    state.assign_first_fit(range(inst.size))
+    state.assign_first_fit(range(inst.size), {})
     return Coloring(state.psi)
 
 

@@ -14,14 +14,16 @@ with fewer distinct colors in use.
 Two subtrees conflict exactly when they share an arc, so the state is
 kept per arc (`ArcColors`), as one color bitmask per arc in a list
 indexed by the instance's dense arc positions (`Instance.arc_positions`),
-and no conflict graph is built.  Each round reads the two directions of
-its edge straight from the instance's per-arc index.  A fork round
-builds its reuse graph from the edge's complement rows and ANDs each row
-with a mask of the right positions its left may share a color with.
-It runs scheme 2 first, then scheme 1, and puts scheme 2 back only when
-scheme 1 uses more colors, so the usual winner costs no undo; the trace
-keeps per-round deltas.  The instance was validated when it was built;
-nothing here checks it again.
+and no conflict graph is built.  One routine, `assign_first_fit`, gives
+a subtree, or a fork's matched uncolored pair, the lowest color on none
+of its arcs; the round loop counts the colors in use itself.  Each round
+reads the two directions of its edge straight from the instance's
+per-arc index.  A fork round builds its reuse graph from the edge's
+complement rows and ANDs each row with a mask of the right positions its
+left may share a color with.  It runs scheme 2 first, then scheme 1, and
+puts scheme 2 back only when scheme 1 uses more colors, so the usual
+winner costs no undo; the trace keeps per-round deltas.  The instance
+was validated when it was built; nothing here checks it again.
 """
 
 from __future__ import annotations
@@ -115,12 +117,12 @@ def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
 class ArcColors:
     """Partial coloring kept per arc, the greedy's whole state.
 
-    `psi` maps colored subtrees to colors, `arc_colors` each arc position
-    (`Instance.arc_positions`) to the mask of the colors on that arc (bit
-    c set iff color c is on the arc; bit 0 is never used), and
-    `color_count` each color in use to its number of subtrees.  The
-    coloring stays valid, so a color sits on an arc for at most one
-    subtree and `unassign` may simply clear its bit.
+    `psi` maps colored subtrees to colors and `arc_colors` each arc
+    position (`Instance.arc_positions`) to the mask of the colors on that
+    arc (bit c set iff color c is on the arc; bit 0 is never used), and
+    nothing else: no per-color counts.  The coloring stays valid, so a
+    color sits on an arc for at most one subtree and `unassign` may simply
+    clear its bit.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -128,21 +130,14 @@ class ArcColors:
         self.positions = inst.arc_positions
         self.psi: dict[int, int] = {}
         self.arc_colors: list[int] = [0] * len(inst.per_arc_index)
-        self.color_count: dict[int, int] = {}
 
-    def colors_on(self, *subtrees: int) -> int:
-        """Mask of the colors on any arc of the given subtrees."""
+    def colors_on(self, i: int) -> int:
+        """Mask of the colors on any arc of subtree i."""
         arc_colors = self.arc_colors
         colors = 0
-        for i in subtrees:
-            for p in self.positions[i]:
-                colors |= arc_colors[p]
+        for p in self.positions[i]:
+            colors |= arc_colors[p]
         return colors
-
-    def first_fit(self, *subtrees: int) -> int:
-        """Smallest positive color on no arc of any of the given subtrees."""
-        taken = self.colors_on(*subtrees) | 1
-        return (~taken & (taken + 1)).bit_length() - 1
 
     def assign(self, i: int, c: int) -> None:
         self.psi[i] = c
@@ -150,29 +145,34 @@ class ArcColors:
         bit = 1 << c
         for p in self.positions[i]:
             arc_colors[p] |= bit
-        self.color_count[c] = self.color_count.get(c, 0) + 1
 
-    def unassign(self, i: int) -> None:
-        c = self.psi.pop(i)
+    def unassign(self, subtrees: Iterable[int]) -> None:
+        psi = self.psi
         arc_colors = self.arc_colors
-        bit = 1 << c
-        for p in self.positions[i]:
-            arc_colors[p] ^= bit
-        self.color_count[c] -= 1
-        if not self.color_count[c]:
-            del self.color_count[c]
+        positions = self.positions
+        for i in subtrees:
+            bit = 1 << psi.pop(i)
+            for p in positions[i]:
+                arc_colors[p] ^= bit
 
-    def assign_first_fit(self, queue: Iterable[int]) -> None:
-        """Color each subtree of `queue` first-fit, in order, in one pass.
+    def assign_first_fit(self, queue: Iterable[int], partner: dict[int, int]) -> None:
+        """Color each still-uncolored subtree of `queue` first-fit, in order.
 
-        Same result as `assign(q, first_fit(q))` for each q in turn.
+        A subtree q with an entry s in `partner` takes, together with s,
+        the smallest positive color on no arc of either (the two share no
+        arc), set as `psi[q]` and then `psi[s]`; any other q takes the
+        smallest positive color on no arc of its own.  Subtrees that
+        already have a color, such as a partner colored with its pair,
+        are skipped.
         """
         psi = self.psi
         arc_colors = self.arc_colors
         positions = self.positions
-        count = self.color_count
         for q in queue:
-            ps = positions[q]
+            if q in psi:
+                continue
+            s = partner.get(q)
+            ps = positions[q] if s is None else positions[q] + positions[s]
             taken = 1
             for p in ps:
                 taken |= arc_colors[p]
@@ -181,15 +181,13 @@ class ArcColors:
                 arc_colors[p] |= bit
             c = bit.bit_length() - 1
             psi[q] = c
-            count[c] = count.get(c, 0) + 1
-
-    def colors_used(self) -> int:
-        return len(self.color_count)
+            if s is not None:
+                psi[s] = c
 
 
 def process_edge_simple(state: ArcColors, queue: Sequence[int]) -> None:
     """Color every subtree in `queue` first-fit, in ascending index order."""
-    state.assign_first_fit(queue)
+    state.assign_first_fit(queue, {})
 
 
 def _reuse_graph(
@@ -252,28 +250,21 @@ def _color_matched(
     A queued subtree matched to a colored one inherits its color; two
     matched queued subtrees take one shared minimal feasible color;
     unmatched ones go first-fit.  Ascending index order throughout.
+    Each subtree of `bip` is colored or queued, and a queued partner
+    stays uncolored through the inherit pass, so `s in psi` there picks
+    out the partners colored before the round.
     """
     partner: dict[int, int] = {}
     for lp, rp in max_bipartite_matching(bip).pairs:
         i, j = bip.left[lp], bip.right[rp]
         partner[i] = j
         partner[j] = i
-    qset = set(queue)
     psi = state.psi
     for q in queue:
         s = partner.get(q)
-        if s is not None and s not in qset:
+        if s is not None and s in psi:
             state.assign(q, psi[s])
-    for q in queue:
-        if q in psi:
-            continue
-        s = partner.get(q)
-        if s is None:
-            state.assign(q, state.first_fit(q))
-        else:
-            c = state.first_fit(q, s)
-            state.assign(q, c)
-            state.assign(s, c)
+    state.assign_first_fit(queue, partner)
 
 
 def process_edge_1(
@@ -314,7 +305,7 @@ def process_edge_2(
     right = [i for i in bwd if (i in psi and i not in on_uv) or i in qset]
     bip = _reuse_graph(state, left, right)
     _color_matched(state, sorted(i for i in left + right if i in qset), bip)
-    state.assign_first_fit([q for q in queue if q not in psi])
+    state.assign_first_fit(queue, {})
 
 
 @dataclass(frozen=True)
@@ -358,27 +349,30 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     trace: list[RoundState] = []
     choices: list[SchemeChoice] = []
     psi = state.psi
+    # The colors in use are always 1..used: a subtree inherits a color in
+    # use or takes a first fit, at most one above the largest color in use.
+    used = 0
     for i, (u, v) in enumerate(order.edges, 1):
         et = classify_edge(order, i)
         fwd, bwd = edge_sides(inst, u, v)
         queue = tuple(j for j in sorted(fwd + bwd) if j not in psi)
         if et.kind == 4:
             process_edge_2(state, queue, u, v, et.x)
-            c2 = state.colors_used()
             scheme2 = [psi[q] for q in queue]
-            for q in queue:
-                state.unassign(q)
+            c2 = max([used, *scheme2])
+            state.unassign(queue)
             process_edge_1(state, queue, (u, v))
-            c1 = state.colors_used()
+            c1 = max([used, *[psi[q] for q in queue]])
             if c1 > c2:
-                for q in queue:
-                    state.unassign(q)
+                state.unassign(queue)
                 for q, c in zip(queue, scheme2):
                     state.assign(q, c)
             choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
+            used = min(c1, c2)
         else:
             process_edge_simple(state, queue)
-        trace.append(RoundState(i, (u, v), queue, state.colors_used(), et.kind))
+            used = max([used, *[psi[q] for q in queue]])
+        trace.append(RoundState(i, (u, v), queue, used, et.kind))
     return GreedyResult(
         coloring=Coloring(psi),
         trace=tuple(trace),

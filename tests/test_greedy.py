@@ -153,14 +153,24 @@ def _state(inst, psi=()) -> ArcColors:
     return state
 
 
+def _first_fit(inst, psi, i, partner=None) -> int:
+    """The color `assign_first_fit` gives subtree i, alone or with its
+    partner, on a fresh state holding `psi`."""
+    state = _state(inst, psi)
+    state.assign_first_fit([i], {} if partner is None else {i: partner})
+    if partner is not None:
+        assert state.psi[partner] == state.psi[i]
+    return state.psi[i]
+
+
 class TestFirstFit:
     def test_no_colored_neighbors(self, p3_demo):
-        assert _state(p3_demo).first_fit(0) == 1
+        assert _first_fit(p3_demo, {}, 0) == 1
 
     def test_skips_used(self, star_demo):
         # subtree 1 collides with 0, 2 and 4
-        assert _state(star_demo, {0: 1, 2: 2}).first_fit(1) == 3
-        assert _state(star_demo, {0: 1, 2: 3}).first_fit(1) == 2
+        assert _first_fit(star_demo, {0: 1, 2: 2}, 1) == 3
+        assert _first_fit(star_demo, {0: 1, 2: 3}, 1) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -175,22 +185,23 @@ class TestFirstFit:
                 for j, cj in state.psi.items()
             ):
                 state.assign(i, c)
-        for i in [i for i in state.psi if rng.random() < 0.3]:
-            state.unassign(i)
+        state.unassign([i for i in state.psi if rng.random() < 0.3])
         psi = dict(state.psi)
-        assert state.colors_used() == len(set(psi.values()))
+        assert _state_consistent(state)
         uncolored = [i for i in range(inst.size) if i not in psi]
         for i in uncolored:
-            assert state.first_fit(i) == first_fit_naive(inst, psi, i)
+            assert _first_fit(inst, psi, i) == first_fit_naive(inst, psi, i)
         for i, j in itertools.combinations(uncolored, 2):
-            assert state.first_fit(i, j) == first_fit_naive(inst, psi, i, j)
+            if not collide_naive(inst.subtrees[i], inst.subtrees[j]):
+                assert _first_fit(inst, psi, i, j) == first_fit_naive(inst, psi, i, j)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_batched_first_fit_matches_sequential(self, seed):
-        """`assign_first_fit` leaves the same state as `first_fit` plus
-        `assign` one subtree at a time, on queues of a normalized instance
-        that hold runs of identical single-arc padding subtrees."""
+        """`assign_first_fit` colors its queue as `first_fit_naive` does one
+        subtree at a time, in queue order, skipping colored subtrees, on
+        queues of a normalized instance that hold runs of identical
+        single-arc padding subtrees."""
         inst = normalize(make_instance(seed, max_vertices=8, max_subtrees=12)).padded
         rng = random.Random(seed)
         base = ArcColors(inst)
@@ -202,23 +213,23 @@ class TestFirstFit:
         uncolored = [i for i in range(inst.size) if i not in psi]
         start = rng.randint(0, len(uncolored))
         queue = uncolored[start:] if rng.random() < 0.5 else [
-            i for i in uncolored if rng.random() < 0.6
+            i for i in range(inst.size) if rng.random() < 0.6
         ]
-        sequential, batched = _state(inst, psi), _state(inst, psi)
+        expected = dict(psi)
         for q in queue:
-            sequential.assign(q, sequential.first_fit(q))
-        batched.assign_first_fit(queue)
-        assert batched.psi == sequential.psi
-        assert list(batched.psi) == list(sequential.psi)
-        assert batched.arc_colors == sequential.arc_colors
-        assert batched.color_count == sequential.color_count
+            if q not in expected:
+                expected[q] = first_fit_naive(inst, expected, q)
+        batched = _state(inst, psi)
+        batched.assign_first_fit(queue, {})
+        assert batched.psi == expected
+        assert list(batched.psi) == list(expected)
         assert _state_consistent(batched)
 
     def test_batched_first_fit_on_a_run_of_duplicates(self, p3_tree):
         dup = RootedSubtree.of(0, [[0, 1]])
         inst = Instance(p3_tree, (dup,) * 5 + (RootedSubtree.of(1, [[1, 2]]),))
         state = _state(inst, {0: 2, 5: 1})
-        state.assign_first_fit([1, 2, 3, 4])
+        state.assign_first_fit([1, 2, 3, 4], {})
         assert state.psi == {0: 2, 5: 1, 1: 1, 2: 3, 3: 4, 4: 5}
         assert _state_consistent(state)
 
@@ -299,15 +310,12 @@ def _contiguous(psi) -> bool:
 
 
 def _state_consistent(state) -> bool:
-    """Per-arc color masks and color counts agree with the assignment."""
+    """Per-arc color masks agree with the assignment."""
     inst, psi = state.inst, state.psi
-    for p, on_arc in enumerate(inst.per_arc_index.values()):
-        if state.arc_colors[p] != sum({1 << psi[i] for i in on_arc if i in psi}):
-            return False
-    counts: dict[int, int] = {}
-    for c in psi.values():
-        counts[c] = counts.get(c, 0) + 1
-    return state.color_count == counts
+    return all(
+        state.arc_colors[p] == sum({1 << psi[i] for i in on_arc if i in psi})
+        for p, on_arc in enumerate(inst.per_arc_index.values())
+    )
 
 
 def _sides(inst, edge, members) -> tuple[list[int], list[int]]:
@@ -359,9 +367,8 @@ def _replay_with_subroutine_checks(
         for lp, rp in m1.pairs:
             assert psi1[bip1.left[lp]] == psi1[bip1.right[rp]]
         assert _state_consistent(state)
-        c1 = state.colors_used()
-        for q in queue:
-            state.unassign(q)
+        c1 = len(set(psi1.values()))
+        state.unassign(queue)
         assert state.psi == before and _state_consistent(state)
 
         # scheme 2 invariants
@@ -387,9 +394,8 @@ def _replay_with_subroutine_checks(
         for lp, rp in m2.pairs:
             assert psi2[bip2.left[lp]] == psi2[bip2.right[rp]]
         assert _state_consistent(state)
-        c2 = state.colors_used()
+        c2 = len(set(psi2.values()))
 
-        assert (c1, c2) == (len(set(psi1.values())), len(set(psi2.values())))
         state = _state(inst, psi1 if c1 <= c2 else psi2)
         assert _contiguous(state.psi)
     return state.psi, forks
