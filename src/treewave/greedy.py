@@ -368,10 +368,9 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
                 for q, c in zip(queue, scheme2):
                     state.assign(q, c)
             choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
-            used = min(c1, c2)
         else:
             process_edge_simple(state, queue)
-            used = max([used, *[psi[q] for q in queue]])
+        used = max([used, *[psi[q] for q in queue]])
         trace.append(RoundState(i, (u, v), queue, used, et.kind))
     return GreedyResult(
         coloring=Coloring(psi),

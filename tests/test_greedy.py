@@ -312,10 +312,10 @@ def _contiguous(psi) -> bool:
 def _state_consistent(state) -> bool:
     """Per-arc color masks agree with the assignment."""
     inst, psi = state.inst, state.psi
-    return all(
-        state.arc_colors[p] == sum({1 << psi[i] for i in on_arc if i in psi})
-        for p, on_arc in enumerate(inst.per_arc_index.values())
-    )
+    for p, on_arc in enumerate(inst.per_arc_index.values()):
+        if state.arc_colors[p] != sum({1 << psi[i] for i in on_arc if i in psi}):
+            return False
+    return True
 
 
 def _sides(inst, edge, members) -> tuple[list[int], list[int]]:
