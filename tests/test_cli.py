@@ -176,6 +176,9 @@ def test_verify_accepts_padded_document(inst_file, tmp_path):
 
 def test_missing_file_exit_2(capsys):
     assert main(["color", "/nonexistent/zz.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 P3_TEXT = (

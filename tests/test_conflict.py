@@ -89,6 +89,11 @@ class TestEdgeComplementBipartite:
         with pytest.raises(InputError):
             edge_complement_bipartite(p3_demo, (0, 1), [0, 0])
 
+    def test_non_edge_rejected(self, p3_demo):
+        # the edge is checked before the subset's duplicates
+        with pytest.raises(InputError, match=r"^\{0,2\} is not an edge of the host tree$"):
+            edge_complement_bipartite(p3_demo, (0, 2), [0, 0])
+
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

@@ -9,6 +9,7 @@ from treewave import (
     BenchItem,
     Coloring,
     GenParams,
+    GreedyResult,
     InputError,
     Instance,
     SweepSpec,
@@ -19,12 +20,14 @@ from treewave import (
     greedy_color,
     load,
     normalize,
+    RootedSubtree,
     round_bound_violations,
     sweep_items,
     validate_subtree,
     validate_tree,
     verify_coloring,
 )
+from treewave import harness
 from treewave.formats import dumps_instance
 from treewave.instances import Arc
 
@@ -186,6 +189,30 @@ class TestSweepAndBench:
         assert record.exact_chromatic == chi
         assert record.greedy_colors_padded <= 2.5 * chi
         assert outcome.ok
+
+    def test_invalid_colorings_reported(self, monkeypatch, p3_tree):
+        def all_ones(n):
+            return Coloring(dict.fromkeys(range(n), 1))
+
+        monkeypatch.setattr(
+            harness,
+            "greedy_color",
+            lambda inst, root: GreedyResult(all_ones(inst.size), (), ()),
+        )
+        monkeypatch.setattr(
+            harness, "first_fit_baseline", lambda inst: all_ones(inst.size)
+        )
+        monkeypatch.setattr(
+            harness, "exact_chromatic", lambda g, limit: (1, all_ones(g.n))
+        )
+        twice = RootedSubtree.of(0, [[0, 1]])
+        outcome = bench_run([BenchItem(0, None, Instance(p3_tree, (twice, twice)))])
+        where = "invalid at (Arc(tail=0, head=1), (0, 1))"
+        assert outcome.failures == (
+            f"instance 0: greedy coloring {where}",
+            f"instance 0: baseline coloring {where}",
+            f"instance 0: exact witness {where}",
+        )
 
     def test_unknown_solver_rejected(self, p3_demo):
         with pytest.raises(InputError):
