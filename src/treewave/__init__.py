@@ -51,7 +51,6 @@ from .instances import (
     LimitError,
     RootedSubtree,
     load,
-    subtrees_on_edge,
     validate_subtree,
     validate_tree,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "process_edge_2",
     "process_edge_simple",
     "round_bound_violations",
-    "subtrees_on_edge",
     "sweep_items",
     "validate_subtree",
     "validate_tree",

@@ -125,7 +125,7 @@ def _greedy_clique(n: int, masks: Sequence[int]) -> list[int]:
     best_v = 0
     best_d = -1
     for v in range(n):
-        d = bin(masks[v]).count("1")
+        d = masks[v].bit_count()
         if d > best_d:
             best_d = d
             best_v = v
@@ -138,7 +138,7 @@ def _greedy_clique(n: int, masks: Sequence[int]) -> list[int]:
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            d = bin(masks[v] & cand).count("1")
+            d = (masks[v] & cand).bit_count()
             if d > pick_d:
                 pick_d = d
                 pick = v
@@ -209,7 +209,7 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
     colors = [0] * n
     for i, v in enumerate(clique):
         colors[v] = i + 1
-    degrees = [bin(masks[v]).count("1") for v in range(n)]
+    degrees = [masks[v].bit_count() for v in range(n)]
     stack: list[list[int]] = []
     used = lb
     while True:
@@ -228,7 +228,7 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
                 m &= m - 1
                 if colors[u]:
                     seen |= 1 << (colors[u] - 1)
-            sat = bin(seen).count("1")
+            sat = seen.bit_count()
             if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
                 pick_sat = sat
                 pick_deg = degrees[v]
@@ -273,7 +273,7 @@ def _max_clique_size(n: int, masks: Sequence[int], best: int) -> int:
     while stack:
         frame = stack[-1]
         cand, size = frame
-        if not cand or size + bin(cand).count("1") <= best:
+        if not cand or size + cand.bit_count() <= best:
             stack.pop()
             continue
         v = (cand & -cand).bit_length() - 1

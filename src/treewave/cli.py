@@ -260,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,12 @@ are built from per-arc masks, never by testing pairs: a conflict row ORs
 the cliques of its subtree's arcs, a complement row clears the right
 positions on its left's arcs, read by arc position.
 
-`edge_complement_bipartite` checks its edge and subset, splits the subset
+`edge_complement_bipartite` checks its edge, reads the edge's two sides
+once with `edge_sides`, checks its subset against them, splits the subset
 by direction and then calls the unchecked builder `_complement_bipartite`
 with the two sides; the greedy colorer and the per-edge lower bound call
-it directly on sides they read off the instance's own index, so neither
-path builds a graph twice.
+the builder directly on the sides `edge_sides` returns, so neither path
+builds a graph twice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .instances import Instance, InputError, edge_key, edge_sides, subtrees_on_edge
+from .instances import Instance, InputError, edge_key, edge_sides
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,21 @@ def edge_complement_bipartite(
     (max,min) direction; a pair is joined iff the two subtrees do NOT
     collide.  Each side is a clique in the conflict graph, so the result
     is bipartite by construction.  Rejects an edge not in the host tree
-    and a subset with duplicates or with subtrees not on the edge.
+    and a subset with duplicates or with subtrees not on the edge; the
+    edge's two sides are read once, by `edge_sides`.
     """
-    on_edge = set(subtrees_on_edge(inst, edge))
+    u, v = edge
+    if not inst.tree.has_edge(u, v):
+        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
     if len(set(subset)) != len(subset):
         raise InputError("subset contains duplicate indices")
+    fwd, bwd = edge_sides(inst, u, v)
+    on_left = set(fwd)
+    on_edge = on_left.union(bwd)
     for i in subset:
         if i not in on_edge:
-            a, b = edge_key(*edge)
+            a, b = edge_key(u, v)
             raise InputError(f"subtree {i} is not present on edge {{{a},{b}}}")
-    on_left = set(edge_sides(inst, *edge)[0])
     left: list[int] = []
     right: list[int] = []
     for i in sorted(subset):

@@ -272,17 +272,12 @@ def process_edge_1(
 ) -> None:
     """First type-4 scheme: reuse colors already present on the edge itself.
 
-    Matches the edge's population (colored plus queued) in the reuse
-    graph and colors the queue from that matching.
+    `queue` must hold every uncolored subtree on the edge, as the round
+    loop's queue does, so the edge's whole population is colored or
+    queued.  Matches that population in the reuse graph and colors the
+    queue from that matching.
     """
-    psi = state.psi
-    qset = set(queue)
-    fwd, bwd = edge_sides(state.inst, *edge)
-    bip = _reuse_graph(
-        state,
-        [i for i in fwd if i in psi or i in qset],
-        [i for i in bwd if i in psi or i in qset],
-    )
+    bip = _reuse_graph(state, *edge_sides(state.inst, *edge))
     _color_matched(state, queue, bip)
 
 

@@ -228,6 +228,17 @@ class BenchOutcome:
         return not self.failures
 
 
+def _check_valid(
+    failures: list[str], item: BenchItem, what: str, inst: Instance, c: Coloring
+) -> None:
+    """Verify one coloring; on a violation, append the first one to `failures`."""
+    rep = verify_coloring(inst, c)
+    if not rep.ok:
+        failures.append(
+            f"instance {item.instance_id}: {what} invalid at {rep.violations[0]}"
+        )
+
+
 def bench_run(
     items: Iterable[BenchItem],
     solvers: Sequence[str] = ALL_SOLVERS,
@@ -259,11 +270,7 @@ def bench_run(
         greedy_padded = greedy_original = None
         if "greedy" in solvers:
             result = greedy_color(padded, root)
-            rep = verify_coloring(padded, result.coloring)
-            if not rep.ok:
-                failures.append(
-                    f"instance {item.instance_id}: greedy coloring invalid at {rep.violations[0]}"
-                )
+            _check_valid(failures, item, "greedy coloring", padded, result.coloring)
             bad_rounds = round_bound_violations(result, load_value)
             if bad_rounds:
                 failures.append(
@@ -278,22 +285,14 @@ def bench_run(
         baseline_colors = None
         if "baseline" in solvers:
             base = first_fit_baseline(inst)
-            rep = verify_coloring(inst, base)
-            if not rep.ok:
-                failures.append(
-                    f"instance {item.instance_id}: baseline coloring invalid at {rep.violations[0]}"
-                )
+            _check_valid(failures, item, "baseline coloring", inst, base)
             baseline_colors = base.colors_used
 
         chi = None
         if "exact" in solvers and padded.size <= exact_limit:
             g = build_conflict_graph(padded)
             chi, witness = exact_chromatic(g, exact_limit)
-            rep = verify_coloring(padded, witness)
-            if not rep.ok:
-                failures.append(
-                    f"instance {item.instance_id}: exact witness invalid at {rep.violations[0]}"
-                )
+            _check_valid(failures, item, "exact witness", padded, witness)
 
         ratio_exact = None
         if chi is not None and chi > 0 and greedy_padded is not None:

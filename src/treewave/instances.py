@@ -286,15 +286,6 @@ def edge_sides(
     return index.get((u, v), ()), index.get((v, u), ())
 
 
-def subtrees_on_edge(inst: Instance, edge: Sequence[int]) -> tuple[int, ...]:
-    """Ascending indices of subtrees present on either direction of an edge."""
-    u, v = edge
-    if not inst.tree.has_edge(u, v):
-        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
-    fwd, bwd = edge_sides(inst, u, v)
-    return tuple(sorted(fwd + bwd))
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Map from subtree index to a positive color; partial during a run."""

@@ -21,9 +21,10 @@ rebuilds each round's sibling lists from the edges' round positions; and
 recorded, whose colorings, traces and scheme choices the package must
 equal.
 `labeled_trees` enumerates every labeled tree on n vertices.  `collide`,
-`subtrees_on_arc` and `induced` are small helpers that only the tests
-need; `graph_of`/`neighbors` and `bipartite_of`/`edges_of` convert the
-package's bitmask rows to and from adjacency and edge lists.
+`subtrees_on_arc`, `subtrees_on_edge` and `induced` are small helpers
+that only the tests need; `graph_of`/`neighbors` and
+`bipartite_of`/`edges_of` convert the package's bitmask rows to and from
+adjacency and edge lists.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def subtrees_on_arc(inst, arc) -> tuple[int, ...]:
     if not inst.tree.has_edge(t, h):
         raise InputError(f"({t},{h}) is not an edge of the host tree")
     return inst.per_arc_index.get(Arc(t, h), ())
+
+
+def subtrees_on_edge(inst, edge) -> tuple[int, ...]:
+    """Ascending indices of subtrees present on either direction of an edge."""
+    u, v = edge
+    return tuple(sorted(subtrees_on_arc(inst, (u, v)) + subtrees_on_arc(inst, (v, u))))
 
 
 def graph_of(adjacency) -> ConflictGraph:

@@ -23,6 +23,7 @@ from oracles import (
     edges_of,
     kuhn_recursive,
     subtrees_on_arc,
+    subtrees_on_edge,
 )
 from test_matching import random_bipartite
 from treewave import (
@@ -47,7 +48,6 @@ from treewave import (
     max_clique,
     normalize,
     round_bound_violations,
-    subtrees_on_edge,
     verify_coloring,
 )
 from treewave.bounds import ORACLE_GUARD

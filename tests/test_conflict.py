@@ -11,6 +11,7 @@ from oracles import (
     conflict_pairs_naive,
     edges_of,
     neighbors,
+    subtrees_on_edge,
 )
 from treewave import (
     HostTree,
@@ -19,7 +20,6 @@ from treewave import (
     RootedSubtree,
     build_conflict_graph,
     edge_complement_bipartite,
-    subtrees_on_edge,
 )
 
 

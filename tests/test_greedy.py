@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +18,7 @@ from oracles import (
     labeled_trees,
     reuse_graph_reference,
     subtrees_on_arc,
+    subtrees_on_edge,
 )
 from treewave import (
     GenParams,
@@ -39,10 +39,8 @@ from treewave import (
     process_edge_1,
     process_edge_2,
     process_edge_simple,
-    subtrees_on_edge,
     sweep_items,
 )
-from treewave import instances
 from treewave.greedy import ArcColors, _reuse_graph
 from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
@@ -523,28 +521,6 @@ def test_normalized_star_demo_matches_replay(star_demo):
     psi, forks = _replay_with_subroutine_checks(padded)
     assert forks == 1
     assert dict(greedy_color(padded).coloring.assignment) == psi
-
-
-def test_greedy_reads_edges_from_the_index(monkeypatch):
-    """The round loop and the fork schemes read an edge's two directions
-    straight from the per-arc index, never through the checked, sorting
-    `subtrees_on_edge` (about 210 calls per instance when they did)."""
-    calls = []
-    original = instances.subtrees_on_edge
-
-    def counting(inst, edge):
-        calls.append(edge)
-        return original(inst, edge)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "treewave" and hasattr(module, "subtrees_on_edge"):
-            monkeypatch.setattr(module, "subtrees_on_edge", counting)
-    padded = normalize(generate_instance(GenParams(100, 3, 200, (1, 6), seed=1))).padded
-    assert instances.subtrees_on_edge(padded, padded.tree.edges[0]) and calls
-    calls.clear()
-    result = greedy_color(padded)
-    assert len(result.scheme_choices) > 0
-    assert calls == []
 
 
 def _outputs(inst, root):

@@ -25,10 +25,10 @@ from treewave import (
     Instance,
     RootedSubtree,
     load,
-    subtrees_on_edge,
     validate_subtree,
     validate_tree,
 )
+from treewave.instances import edge_sides
 
 
 class TestValidateTree:
@@ -237,14 +237,13 @@ class TestLoadAndLookup:
         assert subtrees_on_arc(p3_demo, (2, 1)) == ()
         assert subtrees_on_arc(p3_demo, (0, 1)) == tuple(on_arc_naive(p3_demo, (0, 1)))
 
-    def test_subtrees_on_edge_union(self, p3_demo):
-        assert subtrees_on_edge(p3_demo, (0, 1)) == (0, 1, 2)
+    def test_edge_sides(self, p3_demo):
+        assert edge_sides(p3_demo, 0, 1) == ((0, 2), (1,))
+        assert edge_sides(p3_demo, 1, 0) == ((0, 2), (1,))
 
     def test_non_edge_rejected(self, p3_demo):
         with pytest.raises(InputError):
             subtrees_on_arc(p3_demo, (0, 2))
-        with pytest.raises(InputError):
-            subtrees_on_edge(p3_demo, (0, 2))
 
     def test_invalid_instance_rejected(self, p3_tree):
         with pytest.raises(InputError):
@@ -258,8 +257,8 @@ def test_direction_lists_partition_edge_population(seed):
     for u, v in inst.tree.edges:
         fwd = subtrees_on_arc(inst, (u, v))
         bwd = subtrees_on_arc(inst, (v, u))
-        both = subtrees_on_edge(inst, (u, v))
-        assert sorted(fwd + bwd) == list(both)
+        assert edge_sides(inst, u, v) == edge_sides(inst, v, u)
+        assert edge_sides(inst, u, v) == ((fwd, bwd) if u < v else (bwd, fwd))
         assert not (set(fwd) & set(bwd))
 
 
