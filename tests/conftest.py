@@ -25,6 +25,20 @@ def p3_demo(p3_tree) -> Instance:
 
 
 @pytest.fixture
+def p3_reversed() -> Instance:
+    """Path 2-1-0 with its edges listed out of sorted order: the directed
+    path 2->1->0 twice, then (0,1)."""
+    return Instance(
+        HostTree.of(3, [[2, 1], [1, 0]]),
+        (
+            RootedSubtree.of(2, [[2, 1], [1, 0]]),
+            RootedSubtree.of(2, [[2, 1], [1, 0]]),
+            RootedSubtree.of(0, [[0, 1]]),
+        ),
+    )
+
+
+@pytest.fixture
 def star_tree() -> HostTree:
     return HostTree.of(4, [[0, 1], [0, 2], [0, 3]])
 

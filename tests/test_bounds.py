@@ -71,6 +71,15 @@ class TestNormalize:
             RootedSubtree.of(2, [[2, 1]]),
         )
 
+    def test_padding_follows_edge_order(self, p3_reversed):
+        """Edges pad in input order, each (min,max) arc before (max,min)."""
+        norm = normalize(p3_reversed)
+        assert norm.padded.subtrees[3:] == (
+            RootedSubtree.of(1, [[1, 2]]),
+            RootedSubtree.of(1, [[1, 2]]),
+            RootedSubtree.of(0, [[0, 1]]),
+        )
+
     def test_uniform_instance_zero_padding(self, p3_tree):
         inst = Instance(
             p3_tree,

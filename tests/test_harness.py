@@ -112,6 +112,12 @@ class TestVerifyColoring:
         assert not rep.ok
         assert rep.violations == ((Arc(0, 1), (0, 2)),)
 
+    def test_violations_in_sorted_arc_order(self, p3_reversed):
+        """Violations come in sorted arc order, not the host tree's edge
+        order, which would put (2,1) first."""
+        rep = verify_coloring(p3_reversed, Coloring({0: 1, 1: 1, 2: 1}))
+        assert rep.violations == ((Arc(1, 0), (0, 1)), (Arc(2, 1), (0, 1)))
+
     def test_empty_ok(self, p3_tree):
         from treewave import Instance
 

@@ -93,3 +93,27 @@ def test_readme_lists_every_export():
     paragraph = readme[start : readme.index("\n\n", start)]
     listed = set(re.findall(r"`(\w+)`", paragraph))
     assert sorted(set(treewave.__all__) - listed) == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it (``__init__`` re-exports
+    by import, so it is exempt)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
