@@ -21,9 +21,7 @@ from typing import Mapping, Sequence
 from .conflict import ConflictGraph, _complement_bipartite, build_conflict_graph
 from .greedy import ArcColors
 from .instances import (
-    Arc,
     Coloring,
-    InputError,
     Instance,
     LimitError,
     RootedSubtree,
@@ -56,34 +54,26 @@ class NormalizedInstance:
 def normalize(inst: Instance) -> NormalizedInstance:
     """Pad with single-arc subtrees (rooted at the arc tail) until uniform.
 
-    Padding is appended per undirected edge in input order, (min,max)
-    direction before (max,min), so the result is deterministic.  `inst`
-    is already validated and a single-arc subtree rooted at its tail is
-    valid, so the padded instance is built unchecked, with both arc
-    tables extended from the original's: each arc's padding takes the
-    next subtree indices in order, an arc no original uses takes the next
-    arc position, and all padding on one arc shares one position tuple.
+    Padding is appended in arc position order (`HostTree.arcs`): edges in
+    input order, (min,max) before (max,min).  `inst` is already validated
+    and a single-arc subtree rooted at its tail is valid, so the padded
+    instance is built unchecked, with both arc tables extended from the
+    original's: each arc's padding takes the next subtree indices in
+    order, and all padding on one arc shares one position tuple.
     """
     target = load(inst)
     padding: list[RootedSubtree] = []
-    index = dict(inst.per_arc_index)
-    position = {a: p for p, a in enumerate(index)}
+    members = list(inst.arc_members)
     positions = list(inst.arc_positions)
-    for u, v in inst.tree.edges:
-        a, b = edge_key(u, v)
-        for arc in (Arc(a, b), Arc(b, a)):
-            on_arc = index.get(arc, ())
-            deficit = target - len(on_arc)
-            if deficit:
-                start = inst.size + len(padding)
-                index[arc] = on_arc + tuple(range(start, start + deficit))
-                padding.extend([RootedSubtree(arc.tail, (arc,))] * deficit)
-                p = position.get(arc)
-                if p is None:
-                    p = position[arc] = len(position)
-                positions.extend([(p,)] * deficit)
+    for p, arc in enumerate(inst.tree.arcs):
+        deficit = target - len(members[p])
+        if deficit:
+            start = inst.size + len(padding)
+            members[p] += tuple(range(start, start + deficit))
+            padding.extend([RootedSubtree(arc.tail, (arc,))] * deficit)
+            positions.extend([(p,)] * deficit)
     padded = Instance._trusted(
-        inst.tree, inst.subtrees + tuple(padding), index, tuple(positions)
+        inst.tree, inst.subtrees + tuple(padding), tuple(members), tuple(positions)
     )
     return NormalizedInstance(padded, inst.size)
 
@@ -94,12 +84,10 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     This is exact: each direction is a clique, color classes in the
     restriction have size at most 2, and classes of size 2 are exactly
     matched pairs in the bipartite complement.  The population and the
-    complement come from one `edge_sides` read; an unused edge gives 0.
+    complement come from one `edge_sides` read, which rejects a non-edge;
+    an unused edge gives 0.
     """
-    u, v = edge
-    if not inst.tree.has_edge(u, v):
-        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
-    fwd, bwd = edge_sides(inst, u, v)
+    fwd, bwd = edge_sides(inst, *edge)
     comp = _complement_bipartite(inst, fwd, bwd)
     return len(fwd) + len(bwd) - max_bipartite_matching(comp).size
 

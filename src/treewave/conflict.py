@@ -12,12 +12,11 @@ are built from per-arc masks, never by testing pairs: a conflict row ORs
 the cliques of its subtree's arcs, a complement row clears the right
 positions on its left's arcs, read by arc position.
 
-`edge_complement_bipartite` checks its edge, reads the edge's two sides
-once with `edge_sides`, checks its subset against them, splits the subset
-by direction and then calls the unchecked builder `_complement_bipartite`
-with the two sides; the greedy colorer and the per-edge lower bound call
-the builder directly on the sides `edge_sides` returns, so neither path
-builds a graph twice.
+`edge_complement_bipartite` reads its edge's two sides once with
+`edge_sides`, which rejects a non-edge, checks and splits its subset by
+them and calls the unchecked builder `_complement_bipartite`; the greedy
+colorer and the per-edge lower bound call the builder directly on the
+sides `edge_sides` returns, so neither path builds a graph twice.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def build_conflict_graph(inst: Instance) -> ConflictGraph:
     total arc occupancy.
     """
     masks = [0] * inst.size
-    for indices in inst.per_arc_index.values():
+    for indices in inst.arc_members:
         clique = 0
         for i in indices:
             clique |= 1 << i
@@ -112,16 +111,14 @@ def edge_complement_bipartite(
     Left side is the subset on the (min,max) direction, right side the
     (max,min) direction; a pair is joined iff the two subtrees do NOT
     collide.  Each side is a clique in the conflict graph, so the result
-    is bipartite by construction.  Rejects an edge not in the host tree
-    and a subset with duplicates or with subtrees not on the edge; the
-    edge's two sides are read once, by `edge_sides`.
+    is bipartite by construction.  The edge's two sides are read once, by
+    `edge_sides`, which rejects an edge not in the host tree; a subset
+    with duplicates or with subtrees not on the edge is rejected here.
     """
     u, v = edge
-    if not inst.tree.has_edge(u, v):
-        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
+    fwd, bwd = edge_sides(inst, u, v)
     if len(set(subset)) != len(subset):
         raise InputError("subset contains duplicate indices")
-    fwd, bwd = edge_sides(inst, u, v)
     on_left = set(fwd)
     on_edge = on_left.union(bwd)
     for i in subset:

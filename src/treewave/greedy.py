@@ -13,12 +13,12 @@ with fewer distinct colors in use.
 
 Two subtrees conflict exactly when they share an arc, so the state is
 kept per arc (`ArcColors`), as one color bitmask per arc in a list
-indexed by the instance's dense arc positions (`Instance.arc_positions`),
-and no conflict graph is built.  One routine, `assign_first_fit`, gives
-a subtree, or a fork's matched uncolored pair, the lowest color on none
-of its arcs; the round loop counts the colors in use itself.  Each round
-reads the two directions of its edge straight from the instance's
-per-arc index.  A fork round builds its reuse graph from the edge's
+indexed by the host tree's arc positions (`HostTree.arc_position`), and
+no conflict graph is built.  One routine, `assign_first_fit`, gives a
+subtree, or a fork's matched uncolored pair, the lowest color on none of
+its arcs; the round loop counts the colors in use itself.  Each round
+reads the two directions of its edge from `Instance.arc_members`, through
+`edge_sides`.  A fork round builds its reuse graph from the edge's
 complement rows and ANDs each row with a mask of the right positions its
 left may share a color with.  It runs scheme 2 first, then scheme 1, and
 puts scheme 2 back only when scheme 1 uses more colors, so the usual
@@ -118,7 +118,7 @@ class ArcColors:
     """Partial coloring kept per arc, the greedy's whole state.
 
     `psi` maps colored subtrees to colors and `arc_colors` each arc
-    position (`Instance.arc_positions`) to the mask of the colors on that
+    position (`HostTree.arc_position`) to the mask of the colors on that
     arc (bit c set iff color c is on the arc; bit 0 is never used), and
     nothing else: no per-color counts.  The coloring stays valid, so a
     color sits on an arc for at most one subtree and `unassign` may simply
@@ -129,7 +129,7 @@ class ArcColors:
         self.inst = inst
         self.positions = inst.arc_positions
         self.psi: dict[int, int] = {}
-        self.arc_colors: list[int] = [0] * len(inst.per_arc_index)
+        self.arc_colors: list[int] = [0] * len(inst.arc_members)
 
     def colors_on(self, i: int) -> int:
         """Mask of the colors on any arc of subtree i."""

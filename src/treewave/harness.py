@@ -125,9 +125,9 @@ def verify_coloring(inst: Instance, c: Coloring) -> VerifyReport:
     if not c.is_total(inst.size):
         raise InputError("coloring is partial; every subtree needs a color")
     violations: list[tuple[Arc, tuple[int, int]]] = []
-    for arc in sorted(inst.per_arc_index):
+    for arc, members in sorted(zip(inst.tree.arcs, inst.arc_members)):
         first_with: dict[int, int] = {}
-        for idx in inst.per_arc_index[arc]:
+        for idx in members:
             color = c.assignment[idx]
             if color in first_with:
                 violations.append((arc, (first_with[color], idx)))

@@ -7,6 +7,10 @@ host tree with an ordered multiset of rooted subtrees; identity of a
 subtree is its list position, never structural equality, so duplicates
 are allowed and kept apart.
 
+Arcs are numbered once, by the host tree (`HostTree.arc_position`): edge
+k of its edge list has its (min,max) arc at 2k and its (max,min) arc at
+2k+1, and every per-arc table or state in the package uses that numbering.
+
 All types are immutable after construction and safe to share across
 threads.
 """
@@ -54,8 +58,20 @@ class HostTree:
         return HostTree(vertices, tuple((u, v) for u, v in edges))
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(edge_key(u, v) for u, v in self.edges)
+    def arc_position(self) -> dict[tuple[int, int], int]:
+        """Arc -> position: edge k of `edges` has its (min,max) arc at 2k
+        and its (max,min) arc at 2k+1.  Keys are plain tuples."""
+        position = {}
+        for k, (u, v) in enumerate(self.edges):
+            a, b = edge_key(u, v)
+            position[a, b] = 2 * k
+            position[b, a] = 2 * k + 1
+        return position
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arc at each position of `arc_position`."""
+        return tuple(Arc(*a) for a in self.arc_position)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -72,7 +88,7 @@ class HostTree:
         return all(len(ns) <= 3 for ns in self.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
+        return (u, v) in self.arc_position
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,7 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
     if not s.arcs:
         violations.append("subtree has no arcs (requests must occupy a fiber link)")
         return ValidationReport(False, tuple(violations))
-    edges = tree.edge_set
+    edges = tree.arc_position
     skeleton: set[tuple[int, int]] = set()
     indeg: dict[int, int] = {}
     for t, h in s.arcs:
@@ -184,7 +200,7 @@ class Instance:
     enters; `Instance._trusted` skips the checks and is only for producers
     inside the package whose output is valid by construction (`normalize`
     padding a validated instance, `generate_instance` growing a tree and
-    its subtrees).
+    its subtrees).  Both arc tables are built together on first use.
     """
 
     tree: HostTree
@@ -204,58 +220,48 @@ class Instance:
         cls,
         tree: HostTree,
         subtrees: tuple[RootedSubtree, ...],
-        per_arc_index: Mapping[Arc, tuple[int, ...]] | None = None,
+        arc_members: tuple[tuple[int, ...], ...] | None = None,
         arc_positions: tuple[tuple[int, ...], ...] | None = None,
     ) -> "Instance":
         """An instance built without validation, optionally with its arc tables.
 
         The caller guarantees what `__post_init__` would check and, when
-        it hands over `per_arc_index` and `arc_positions` (both or
-        neither), that they equal the tables this instance would compute.
-        Never call it on data that came from outside the package.
+        it hands over `arc_members` and `arc_positions` (both or neither),
+        that they equal the tables this instance would compute.  Never
+        call it on data that came from outside the package.
         """
         inst = object.__new__(cls)
         object.__setattr__(inst, "tree", tree)
         object.__setattr__(inst, "subtrees", subtrees)
-        if per_arc_index is not None:
-            inst.__dict__["per_arc_index"] = per_arc_index
+        if arc_members is not None:
+            inst.__dict__["arc_members"] = arc_members
             inst.__dict__["arc_positions"] = arc_positions
         return inst
 
     def _index_arcs(self) -> None:
-        """Build `per_arc_index` and `arc_positions` in one pass."""
-        position: dict[Arc, int] = {}
-        members: list[list[int]] = []
+        """Build `arc_members` and `arc_positions` in one pass."""
+        position = self.tree.arc_position
+        members: list[list[int]] = [[] for _ in range(len(position))]
         positions = []
         for i, s in enumerate(self.subtrees):
             row = []
             for a in s.arcs:
-                p = position.get(a)
-                if p is None:
-                    p = position[a] = len(members)
-                    members.append([i])
-                else:
-                    members[p].append(i)
+                p = position[a]
+                members[p].append(i)
                 row.append(p)
             positions.append(tuple(row))
-        self.__dict__["per_arc_index"] = {
-            a: tuple(ix) for a, ix in zip(position, members)
-        }
+        self.__dict__["arc_members"] = tuple(map(tuple, members))
         self.__dict__["arc_positions"] = tuple(positions)
 
     @cached_property
-    def per_arc_index(self) -> Mapping[Arc, tuple[int, ...]]:
-        """Arc -> ascending indices of the subtrees present on that arc.
-
-        An arc's position is its place in this mapping's key order, which
-        is the order arcs first occur in the subtrees.
-        """
+    def arc_members(self) -> tuple[tuple[int, ...], ...]:
+        """Per arc position, the ascending indices of the subtrees on it."""
         self._index_arcs()
-        return self.__dict__["per_arc_index"]
+        return self.__dict__["arc_members"]
 
     @cached_property
     def arc_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Per subtree, the positions of its arcs in `per_arc_index`."""
+        """Per subtree, the positions (`HostTree.arc_position`) of its arcs."""
         self._index_arcs()
         return self.__dict__["arc_positions"]
 
@@ -266,7 +272,7 @@ class Instance:
 
 def load(inst: Instance) -> int:
     """Maximum number of subtrees on any single directed edge (0 if none)."""
-    return max((len(ix) for ix in inst.per_arc_index.values()), default=0)
+    return max(map(len, inst.arc_members), default=0)
 
 
 def edge_sides(
@@ -275,15 +281,14 @@ def edge_sides(
     """Ascending indices of the subtrees on the (min,max) and on the
     (max,min) arc of host edge {u,v}.
 
-    Unchecked: {u,v} must be an edge of the host tree.  The two sides are
-    disjoint, since a valid subtree uses an edge in one direction only.
-    Plain tuples look up the `Arc` keys: a NamedTuple hashes and compares
-    equal to the tuple of its fields, and no `Arc` is built per call.
+    Rejects a pair that is not an edge of the host tree; this is the
+    package's one edge check.  The two sides are disjoint, since a valid
+    subtree uses an edge in one direction only.
     """
-    index = inst.per_arc_index
-    if u > v:
-        u, v = v, u
-    return index.get((u, v), ()), index.get((v, u), ())
+    p = inst.tree.arc_position.get((u, v) if u < v else (v, u))
+    if p is None:
+        raise InputError(f"{{{u},{v}}} is not an edge of the host tree")
+    return inst.arc_members[p : p + 2]
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def subtrees_on_arc(inst, arc) -> tuple[int, ...]:
     t, h = arc
     if not inst.tree.has_edge(t, h):
         raise InputError(f"({t},{h}) is not an edge of the host tree")
-    return inst.per_arc_index.get(Arc(t, h), ())
+    return inst.arc_members[inst.tree.arc_position[t, h]]
 
 
 def subtrees_on_edge(inst, edge) -> tuple[int, ...]:

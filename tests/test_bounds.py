@@ -118,13 +118,12 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_unchecked_padding_equals_a_validated_rebuild(self, seed):
-        """The padded instance is built unchecked with an index extended
-        from the original; a validating rebuild accepts it and computes
-        the same index, key order included."""
+        """The padded instance is built unchecked with a member table
+        extended from the original; a validating rebuild accepts it and
+        computes the same table."""
         padded = normalize(make_instance(seed, max_vertices=16, max_subtrees=24)).padded
         checked = Instance(padded.tree, padded.subtrees)
-        assert padded.per_arc_index == checked.per_arc_index
-        assert list(padded.per_arc_index) == list(checked.per_arc_index)
+        assert padded.arc_members == checked.arc_members
 
     def test_handed_over_arc_positions_equal_a_validated_rebuild(self, p3_tree, p3_demo):
         """`normalize` extends both arc tables and hands them over; they
@@ -134,8 +133,8 @@ class TestNormalize:
         def check(inst):
             checked = Instance(inst.tree, inst.subtrees)
             assert inst.arc_positions == checked.arc_positions
-            assert list(inst.per_arc_index) == list(checked.per_arc_index)
-            arcs = list(inst.per_arc_index)
+            assert inst.arc_members == checked.arc_members
+            arcs = inst.tree.arcs
             for s, ps in zip(inst.subtrees, inst.arc_positions, strict=True):
                 assert tuple(arcs[p] for p in ps) == s.arcs
 
@@ -146,9 +145,10 @@ class TestNormalize:
             check(raw)
             padded = normalize(raw).padded
             assert "arc_positions" in padded.__dict__
+            assert "arc_members" in padded.__dict__
             check(padded)
-        # arcs no original subtree uses: (1,0), (1,2) and (2,1)
-        assert len(normalize(one_arc).padded.per_arc_index) == 4
+        # arcs no original subtree uses, (1,0), (1,2) and (2,1), are padded
+        assert normalize(one_arc).padded.arc_members == ((0, 1), (2, 3), (4, 5), (6, 7))
 
     def test_subtrees_validated_once_at_load(self, monkeypatch):
         calls = []

@@ -160,6 +160,6 @@ def test_coloring_validity_equivalence(seed):
     )
     by_arcs = all(
         len({colors[i] for i in ix}) == len(ix)
-        for ix in inst.per_arc_index.values()
+        for ix in inst.arc_members
     )
     assert by_graph == by_arcs

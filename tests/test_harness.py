@@ -81,7 +81,7 @@ class TestGenerateInstance:
         assert inst.size == count
         checked = Instance(inst.tree, inst.subtrees)
         assert checked == inst
-        assert checked.per_arc_index == inst.per_arc_index
+        assert checked.arc_members == inst.arc_members
 
     def test_same_seed_same_bytes(self):
         params = GenParams(9, 3, 7, (1, 4), 123456789)
@@ -139,7 +139,7 @@ class TestVerifyColoring:
         assert verify_coloring(inst, res.coloring).ok == coloring_valid_naive(inst, psi)
         if inst.size >= 2:
             # corrupt: force two arc-sharing subtrees onto one color
-            for indices in inst.per_arc_index.values():
+            for indices in inst.arc_members:
                 if len(indices) >= 2:
                     bad = dict(psi)
                     bad[indices[1]] = bad[indices[0]]

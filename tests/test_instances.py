@@ -241,6 +241,17 @@ class TestLoadAndLookup:
         assert edge_sides(p3_demo, 0, 1) == ((0, 2), (1,))
         assert edge_sides(p3_demo, 1, 0) == ((0, 2), (1,))
 
+    def test_edge_sides_rejects_non_edge(self, p3_demo):
+        with pytest.raises(InputError, match=r"^\{0,2\} is not an edge of the host tree$"):
+            edge_sides(p3_demo, 0, 2)
+
+    def test_arcs_numbered_by_edge_order(self, p3_reversed):
+        """Edge k has its (min,max) arc at 2k and its (max,min) arc at 2k+1."""
+        tree = p3_reversed.tree
+        assert tree.arcs == (Arc(1, 2), Arc(2, 1), Arc(0, 1), Arc(1, 0))
+        assert tree.arc_position == {a: p for p, a in enumerate(tree.arcs)}
+        assert p3_reversed.arc_members == ((), (0, 1), (2,), (0, 1))
+
     def test_non_edge_rejected(self, p3_demo):
         with pytest.raises(InputError):
             subtrees_on_arc(p3_demo, (0, 2))
@@ -289,10 +300,12 @@ def test_load_equals_max_direction_count(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_per_arc_index_rebuilds_exactly(seed):
+def test_arc_members_rebuild_exactly(seed):
     inst = make_instance(seed)
     rebuilt: dict[Arc, list[int]] = {}
     for i, s in enumerate(inst.subtrees):
         for a in s.arcs:
             rebuilt.setdefault(a, []).append(i)
-    assert {a: tuple(ix) for a, ix in rebuilt.items()} == dict(inst.per_arc_index)
+    assert inst.arc_members == tuple(
+        tuple(rebuilt.get(a, ())) for a in inst.tree.arcs
+    )
