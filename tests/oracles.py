@@ -33,7 +33,6 @@ import itertools
 from typing import Sequence
 
 from treewave import (
-    Arc,
     BipartiteGraph,
     ConflictGraph,
     HostTree,
