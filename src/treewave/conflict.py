@@ -14,9 +14,10 @@ positions on its left's arcs, read by arc position.
 
 `edge_complement_bipartite` reads its edge's two sides once with
 `edge_sides`, which rejects a non-edge, checks and splits its subset by
-them and calls the unchecked builder `_complement_bipartite`; the greedy
-colorer and the per-edge lower bound call the builder directly on the
-sides `edge_sides` returns, so neither path builds a graph twice.
+them and builds its rows with the unchecked `_complement_rows`.  The
+greedy colorer's reuse graph and the per-edge lower bound take their rows
+from `_complement_rows` directly, on the sides `edge_sides` returns; the
+lower bound only counts a matching in them and builds no graph at all.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class BipartiteGraph:
     rows: tuple[int, ...]
 
 
-def _complement_bipartite(
+def _complement_rows(
     inst: Instance, left: Sequence[int], right: Sequence[int]
-) -> BipartiteGraph:
-    """Unchecked core of `edge_complement_bipartite`.
+) -> list[int]:
+    """Unchecked rows of the complement of one host edge's conflict graph.
 
     `left` and `right` must be ascending and hold subtrees on the
     (min,max) and on the (max,min) arc of one host edge.  Each right
@@ -100,7 +101,7 @@ def _complement_bipartite(
         for p in positions[i]:
             taken |= on_arc.get(p, 0)
         rows.append(full & ~taken)
-    return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
+    return rows
 
 
 def edge_complement_bipartite(
@@ -129,4 +130,6 @@ def edge_complement_bipartite(
     right: list[int] = []
     for i in sorted(subset):
         (left if i in on_left else right).append(i)
-    return _complement_bipartite(inst, left, right)
+    return BipartiteGraph(
+        tuple(left), tuple(right), tuple(_complement_rows(inst, left, right))
+    )

@@ -12,7 +12,7 @@ import json
 from typing import Sequence
 
 from .harness import BenchRecord
-from .instances import HostTree, InputError, Instance, RootedSubtree
+from .instances import Arc, HostTree, InputError, Instance, RootedSubtree
 
 
 def dumps_instance(inst: Instance) -> str:
@@ -43,10 +43,12 @@ def loads_instance(text: str) -> Instance:
         raise InputError(f"not valid JSON: {e}") from e
     try:
         tree_doc = doc["tree"]
-        edges = [(_int(u), _int(v)) for u, v in tree_doc["edges"]]
-        tree = HostTree.of(_int(tree_doc["vertices"]), edges)
+        edges = tuple([(_int(u), _int(v)) for u, v in tree_doc["edges"]])
+        tree = HostTree(_int(tree_doc["vertices"]), edges)
         subtrees = tuple(
-            RootedSubtree.of(_int(s["root"]), [(_int(t), _int(h)) for t, h in s["arcs"]])
+            RootedSubtree(
+                _int(s["root"]), tuple([Arc(_int(t), _int(h)) for t, h in s["arcs"]])
+            )
             for s in doc["subtrees"]
         )
     except (KeyError, TypeError, ValueError) as e:

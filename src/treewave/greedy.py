@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .conflict import BipartiteGraph, _complement_bipartite
+from .conflict import BipartiteGraph, _complement_rows
 from .instances import (
     Coloring,
     HostTree,
@@ -207,15 +207,14 @@ def _reuse_graph(
     rights whose arcs carry color c, for the colors of colored lefts.
     """
     psi = state.psi
-    comp = _complement_bipartite(state.inst, left, right)
     left_colors = 0
-    for i in comp.left:
+    for i in left:
         if i in psi:
             left_colors |= 1 << psi[i]
     colored_at: dict[int, int] = {}
     near: dict[int, int] = {}
     right_colors = uncolored = 0
-    for rp, j in enumerate(comp.right):
+    for rp, j in enumerate(right):
         bit = 1 << rp
         c = psi.get(j)
         if c is not None:
@@ -229,7 +228,7 @@ def _reuse_graph(
             m &= m - 1
             near[c] = near.get(c, 0) | bit
     rows = []
-    for i, row in zip(comp.left, comp.rows):
+    for i, row in zip(left, _complement_rows(state.inst, left, right)):
         c = psi.get(i)
         if c is not None:
             row &= colored_at.get(c, 0) | (uncolored & ~near.get(c, 0))
@@ -239,7 +238,7 @@ def _reuse_graph(
                 row &= ~colored_at[(m & -m).bit_length() - 1]
                 m &= m - 1
         rows.append(row)
-    return BipartiteGraph(comp.left, comp.right, tuple(rows))
+    return BipartiteGraph(tuple(left), tuple(right), tuple(rows))
 
 
 def _color_matched(
@@ -289,7 +288,9 @@ def process_edge_2(
     Builds the reuse graph on the {u,x} population, restricted to queued
     subtrees present there plus subtrees colored on {u,x} but not on
     {u,v}.  Queued subtrees on {u,x} are colored from that matching
-    first; every other queued subtree then goes first-fit.
+    first; every other queued subtree then goes first-fit.  When no queued
+    subtree is on {u,x} the matching would color nothing, so neither the
+    graph nor the matching is built.
     """
     psi = state.psi
     qset = set(queue)
@@ -298,8 +299,9 @@ def process_edge_2(
     fwd, bwd = edge_sides(state.inst, u, x)
     left = [i for i in fwd if (i in psi and i not in on_uv) or i in qset]
     right = [i for i in bwd if (i in psi and i not in on_uv) or i in qset]
-    bip = _reuse_graph(state, left, right)
-    _color_matched(state, sorted(i for i in left + right if i in qset), bip)
+    on_ux = sorted(i for i in left + right if i in qset)
+    if on_ux:
+        _color_matched(state, on_ux, _reuse_graph(state, left, right))
     state.assign_first_fit(queue, {})
 
 

@@ -31,7 +31,7 @@ from .instances import (
     RootedSubtree,
     load,
 )
-from .rng import XorShift64Star, derive_seed
+from .rng import BELOW_LIMIT, XorShift64Star, derive_seed
 
 MAX_RATIO = 2.5
 
@@ -40,7 +40,12 @@ ALL_SOLVERS = ("greedy", "baseline", "exact", "bounds")
 
 @dataclass(frozen=True)
 class GenParams:
-    """Knobs for one generated instance; fully determined by the seed."""
+    """Knobs for one generated instance; fully determined by the seed.
+
+    The vertex count and the size range are each a range the generator
+    draws from, so neither may hold more than 2**64 values
+    (`XorShift64Star.below`).
+    """
 
     num_vertices: int
     max_degree: int
@@ -51,6 +56,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
             raise InputError("num_vertices must be >= 1")
+        if self.num_vertices > BELOW_LIMIT:
+            raise InputError("num_vertices must be <= 2**64")
         if self.max_degree not in (2, 3):
             raise InputError("max_degree must be 2 or 3")
         if self.num_subtrees < 0:
@@ -58,6 +65,8 @@ class GenParams:
         lo, hi = self.subtree_size_range
         if not (1 <= lo <= hi):
             raise InputError("subtree_size_range must satisfy 1 <= min <= max")
+        if hi - lo + 1 > BELOW_LIMIT:
+            raise InputError("subtree_size_range must span at most 2**64 sizes")
         if self.num_vertices == 1 and self.num_subtrees > 0:
             raise InputError("a single-vertex tree has no links to route subtrees on")
 
@@ -177,7 +186,12 @@ class BenchItem:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter ranges for a generated bench sweep."""
+    """Parameter ranges for a generated bench sweep.
+
+    Vertex counts, request counts and arc counts are drawn from these
+    ranges, so none may hold more than 2**64 values
+    (`XorShift64Star.below`).
+    """
 
     instances: int
     seed: int
@@ -192,10 +206,16 @@ class SweepSpec:
             raise InputError("instance count must be >= 0")
         if self.max_vertices < 2:
             raise InputError("max_vertices must be >= 2")
+        if self.max_vertices > BELOW_LIMIT:
+            raise InputError("max_vertices must be <= 2**64")
         if self.max_subtrees < 0:
             raise InputError("max_subtrees must be >= 0")
+        if self.max_subtrees >= BELOW_LIMIT:
+            raise InputError("max_subtrees must be < 2**64")
         if not (1 <= self.min_arcs <= self.max_arcs):
             raise InputError("arc range must satisfy 1 <= min <= max")
+        if self.max_arcs - self.min_arcs + 1 > BELOW_LIMIT:
+            raise InputError("arc range must span at most 2**64 sizes")
 
 
 def sweep_items(spec: SweepSpec) -> list[BenchItem]:

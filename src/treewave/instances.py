@@ -145,29 +145,43 @@ class RootedSubtree:
         return RootedSubtree(root, tuple(Arc(t, h) for t, h in arcs))
 
 
-def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
-    """Check one rooted subtree against its host tree."""
+def _walk_subtree(
+    position: Mapping[tuple[int, int], int], s: RootedSubtree
+) -> tuple[list[str], tuple[int, ...]]:
+    """One pass over a subtree's arcs: its violations, in `validate_subtree`'s
+    order, and the positions (`HostTree.arc_position`) of its arcs.
+
+    The positions are meaningful only when there are no violations.  A
+    host edge's two arcs sit at 2k and 2k+1, so ``p >> 1`` names the
+    skeleton edge of an arc in the tree; an arc outside it is keyed by its
+    (min,max) pair instead, so it is still checked for a second use.
+    """
+    arcs = s.arcs
+    if not arcs:
+        return ["subtree has no arcs (requests must occupy a fiber link)"], ()
     violations: list[str] = []
-    if not s.arcs:
-        violations.append("subtree has no arcs (requests must occupy a fiber link)")
-        return ValidationReport(False, tuple(violations))
-    edges = tree.arc_position
-    skeleton: set[tuple[int, int]] = set()
+    skeleton: set[int | tuple[int, int]] = set()
     indeg: dict[int, int] = {}
-    for t, h in s.arcs:
+    row: list[int] = []
+    for a in arcs:
+        t, h = a
         if t == h:
             violations.append(f"arc ({t},{h}) is a self-loop")
             continue
-        k = (t, h) if t < h else (h, t)
-        if k not in edges:
+        p = position.get(a)
+        if p is None:
             violations.append(f"arc ({t},{h}) is not a host tree edge")
+            k = edge_key(t, h)
+        else:
+            row.append(p)
+            k = p >> 1
         if k in skeleton:
-            violations.append(f"skeleton edge {k} used twice")
+            violations.append(f"skeleton edge {edge_key(t, h)} used twice")
         skeleton.add(k)
         indeg[h] = indeg.get(h, 0) + 1
         indeg.setdefault(t, 0)
     if violations:
-        return ValidationReport(False, tuple(violations))
+        return violations, ()
     # every arc endpoint is a key of indeg, so the vertices are its keys
     # plus the root
     root = s.root
@@ -182,10 +196,16 @@ def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
     # (never with an untouched root), and a tree is connected from the root
     # along arc directions iff the root and in-degree checks above all passed.
     vertices = len(indeg) + (root not in indeg)
-    if len(s.arcs) != vertices - 1:
+    if len(arcs) != vertices - 1:
         violations.append("skeleton is not a tree (arc/vertex count mismatch)")
     elif violations:
         violations.append("skeleton not connected from root along arc directions")
+    return violations, tuple(row)
+
+
+def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
+    """Check one rooted subtree against its host tree."""
+    violations, _ = _walk_subtree(tree.arc_position, s)
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -197,10 +217,12 @@ class Instance:
     restriction, `HostTree.degree_ok`, which only the greedy's
     `bfs_edge_order` enforces (generators, lower bounds and the exact
     oracles are degree-agnostic).  Input is validated once, where it
-    enters; `Instance._trusted` skips the checks and is only for producers
-    inside the package whose output is valid by construction (`normalize`
-    padding a validated instance, `generate_instance` growing a tree and
-    its subtrees).  Both arc tables are built together on first use.
+    enters, and the same walk over each subtree's arcs fills both arc
+    tables, `arc_members` and `arc_positions`.  `Instance._trusted` skips
+    the checks and is only for producers inside the package whose output
+    is valid by construction (`normalize` padding a validated instance,
+    handing over both tables; `generate_instance` growing a tree and its
+    subtrees, whose tables are built together on first use).
     """
 
     tree: HostTree
@@ -210,10 +232,14 @@ class Instance:
         rep = validate_tree(self.tree)
         if not rep.ok:
             raise InputError("invalid host tree: " + "; ".join(rep.violations))
+        position = self.tree.arc_position
+        positions = []
         for i, s in enumerate(self.subtrees):
-            srep = validate_subtree(self.tree, s)
-            if not srep.ok:
-                raise InputError(f"invalid subtree {i}: " + "; ".join(srep.violations))
+            violations, row = _walk_subtree(position, s)
+            if violations:
+                raise InputError(f"invalid subtree {i}: " + "; ".join(violations))
+            positions.append(row)
+        self._set_arc_tables(tuple(positions))
 
     @classmethod
     def _trusted(
@@ -238,20 +264,19 @@ class Instance:
             inst.__dict__["arc_positions"] = arc_positions
         return inst
 
-    def _index_arcs(self) -> None:
-        """Build `arc_members` and `arc_positions` in one pass."""
-        position = self.tree.arc_position
-        members: list[list[int]] = [[] for _ in range(len(position))]
-        positions = []
-        for i, s in enumerate(self.subtrees):
-            row = []
-            for a in s.arcs:
-                p = position[a]
+    def _set_arc_tables(self, positions: tuple[tuple[int, ...], ...]) -> None:
+        """Store `arc_positions` and the `arc_members` table it implies."""
+        members: list[list[int]] = [[] for _ in range(len(self.tree.arc_position))]
+        for i, row in enumerate(positions):
+            for p in row:
                 members[p].append(i)
-                row.append(p)
-            positions.append(tuple(row))
         self.__dict__["arc_members"] = tuple(map(tuple, members))
-        self.__dict__["arc_positions"] = tuple(positions)
+        self.__dict__["arc_positions"] = positions
+
+    def _index_arcs(self) -> None:
+        """Build both arc tables of a `_trusted` instance handed none."""
+        get = self.tree.arc_position.__getitem__
+        self._set_arc_tables(tuple(tuple(map(get, s.arcs)) for s in self.subtrees))
 
     @cached_property
     def arc_members(self) -> tuple[tuple[int, ...], ...]:

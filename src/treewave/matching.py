@@ -1,10 +1,12 @@
 """Maximum matching in bipartite graphs.
 
-The matching drives the color-reuse step of the greedy colorer and the
-per-edge lower bound.  It reads the graph's bitmask rows directly: the
-next right a left tries is the lowest unvisited bit of its row.  The
-tests certify it against independent brute-force oracles and a
-recursive reference in ``tests/oracles.py``.
+The matching drives the color-reuse step of the greedy colorer, whose
+colorings depend on exactly which pairs it returns.  It reads the graph's
+bitmask rows directly: the next right a left tries is the lowest
+unvisited bit of its row.  The per-edge lower bound needs only a
+matching's size and counts it with `bounds._matching_size` instead.  The
+tests certify both against independent brute-force oracles, and this one
+against a recursive reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ reproduces the same stream on any platform or implementation.
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
+BELOW_LIMIT = 1 << 64  # largest n that `below` can draw from
 
 
 def splitmix64(x: int) -> int:
@@ -38,9 +39,15 @@ class XorShift64Star:
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
+        """Uniform integer in [0, n), rejection-sampled to avoid modulo bias.
+
+        One 64-bit draw covers at most 2**64 values, so n above that is
+        refused rather than sampled forever.
+        """
         if n <= 0:
             raise ValueError("below() needs n >= 1")
+        if n > BELOW_LIMIT:
+            raise ValueError("below() needs n <= 2**64")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             v = self.next_u64()

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import (
+    BRUTE_FORCE_GUARD,
+    bipartite_of,
     brute_chromatic,
     brute_clique,
+    brute_force_matching_size,
     clique_recursive,
     conflict_pairs_naive,
     dsatur_recursive,
@@ -23,6 +26,7 @@ from oracles import (
     induced,
     subtrees_on_arc,
 )
+from test_matching import random_bipartite
 from treewave import (
     ConflictGraph,
     GenParams,
@@ -47,10 +51,11 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
-from treewave.bounds import _first_fit_classes, _greedy_clique
+from treewave.bounds import _first_fit_classes, _greedy_clique, _matching_size
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
+from treewave.instances import edge_sides
 from treewave.matching import max_bipartite_matching
 from treewave.rng import XorShift64Star, derive_seed
 
@@ -152,13 +157,13 @@ class TestNormalize:
 
     def test_subtrees_validated_once_at_load(self, monkeypatch):
         calls = []
-        validate = instances.validate_subtree
+        walk = instances._walk_subtree
 
-        def counting(tree, s):
+        def counting(position, s):
             calls.append(s)
-            return validate(tree, s)
+            return walk(position, s)
 
-        monkeypatch.setattr(instances, "validate_subtree", counting)
+        monkeypatch.setattr(instances, "_walk_subtree", counting)
         inst = generate_instance(GenParams(12, 3, 15, (1, 4), seed=3))
         assert calls == []
         inst = loads_instance(dumps_instance(inst))
@@ -202,6 +207,64 @@ class TestEdgeLowerBound:
                 assert bound == exact_chromatic(sub)[0]
             else:
                 assert bound == 0
+
+
+def _sizes_agree(g) -> int:
+    """`_matching_size` on the rows of `g`, checked against the greedy's
+    pair-exact matching and, where the graph fits its guard, brute force."""
+    size = _matching_size(g.rows, len(g.right))
+    assert size == max_bipartite_matching(g).size
+    if len(g.left) + len(g.right) <= BRUTE_FORCE_GUARD:
+        assert size == brute_force_matching_size(g)
+    return size
+
+
+def _chain(n: int):
+    """Left l joins rights l-1 and l."""
+    edges = [(lp, rp) for lp in range(n) for rp in (lp - 1, lp) if rp >= 0]
+    return bipartite_of(range(n), range(n, 2 * n), edges)
+
+
+class TestMatchingSize:
+    """The per-edge bound counts a maximum matching without building its
+    pairs; the count equals the size of the greedy's matching."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.integers(0, 100))
+    def test_random_graphs(self, seed, density):
+        _sizes_agree(random_bipartite(seed, max_side=14, density=density))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_edge_of_generated_instances(self, seed):
+        raw = make_instance(seed, max_vertices=10, max_subtrees=24, max_arcs=4)
+        for inst in (raw, normalize(raw).padded):
+            for u, v in inst.tree.edges:
+                fwd, bwd = edge_sides(inst, u, v)
+                g = edge_complement_bipartite(inst, (u, v), fwd + bwd)
+                bound = len(fwd) + len(bwd) - _sizes_agree(g)
+                assert edge_lower_bound(inst, (u, v)) == bound
+
+    def test_chains(self):
+        for n in range(13):
+            assert _sizes_agree(_chain(n)) == n
+
+    def test_chain_that_is_quadratic_for_kuhn(self):
+        """Each left takes its lowest free right, so the warm start matches
+        this chain whole; ascending Kuhn needs quadratic time on it.  The
+        chain has a perfect matching, and `test_chains` compares the two
+        matchers on the small ones."""
+        g = _chain(3000)
+        assert _matching_size(g.rows, 3000) == 3000
+
+    def test_augmenting_path_deeper_than_recursion_limit(self):
+        # left l -> rights l, l+1 and the last left -> right 0: the warm
+        # start leaves only the last left unmatched, and its one augmenting
+        # path crosses every vertex
+        n = 20_000
+        edges = [(lp, rp) for lp in range(n - 1) for rp in (lp, lp + 1)]
+        g = bipartite_of(range(n), range(n, 2 * n), edges + [(n - 1, 0)])
+        assert _matching_size(g.rows, n) == n
 
 
 class TestGlobalLowerBound:

@@ -58,6 +58,40 @@ def test_bench_negative_max_subtrees_exit_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["gen", "--vertices", "5", "--subtrees", "3", "--max-arcs", str(10**21),
+             "--seed", "1"],
+            id="gen_arc_range",
+        ),
+        pytest.param(
+            ["gen", "--vertices", str(2**70), "--subtrees", "3", "--seed", "1"],
+            id="gen_vertices",
+        ),
+        pytest.param(
+            ["bench", "--instances", "1", "--max-subtrees", str(2**65)],
+            id="bench_request_count",
+        ),
+        pytest.param(
+            ["bench", "--instances", "1", "--max-vertices", str(2**65)],
+            id="bench_vertices",
+        ),
+        pytest.param(
+            ["bench", "--instances", "1", "--max-arcs", str(10**21)], id="bench_arc_range"
+        ),
+    ],
+)
+def test_ranges_beyond_one_draw_exit_2(capsys, argv):
+    """A range the generator would draw from with more than 2**64 values
+    is refused before anything is drawn or allocated."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_color_default_normalizes(inst_file, tmp_path):
     out = tmp_path / "col.json"
     assert main(["color", str(inst_file), "-o", str(out)]) == 0

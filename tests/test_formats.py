@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from treewave import InputError
+from treewave import InputError, Instance, SweepSpec, sweep_items
 from treewave.formats import (
     dumps_coloring,
     dumps_instance,
@@ -43,6 +43,55 @@ def test_malformed_instance_rejected():
         loads_instance('{"tree":{"vertices":2,"edges":[[0,1]]},"subtrees":[{"root":0,"arcs":[]}]}')
     with pytest.raises(InputError):
         loads_instance('{"tree":{"vertices":3,"edges":[[0,1],[0,2],[1,2]]},"subtrees":[]}')
+
+
+@pytest.mark.parametrize(
+    "text, first_bad",
+    [
+        ('{"tree":{"vertices":"3","edges":[[0,1.5],[1,2]]},"subtrees":[]}', "1.5"),
+        ('{"tree":{"vertices":3,"edges":[[0,1],[1,true]]},"subtrees":[]}', "true"),
+        ('{"tree":{"vertices":3.0,"edges":[[0,1],[1,2]]},"subtrees":[]}', "3.0"),
+        (
+            '{"tree":{"vertices":3,"edges":[[0,1],[1,2]]},'
+            '"subtrees":[{"root":"0","arcs":[[0,1.0]]}]}',
+            '"0"',
+        ),
+        (
+            '{"tree":{"vertices":3,"edges":[[0,1],[1,2]]},'
+            '"subtrees":[{"root":0,"arcs":[[0,1],[null,2]]},{"root":false,"arcs":[]}]}',
+            "null",
+        ),
+        (
+            '{"tree":{"vertices":3,"edges":[[0,1],[1,2]]},'
+            '"subtrees":[{"root":0,"arcs":[[0,1]]},{"root":[1],"arcs":[[1,2.5]]}]}',
+            "[1]",
+        ),
+    ],
+)
+def test_first_non_integer_is_reported(text, first_bad):
+    """Every value passes the integer rule in document order, edges before
+    `vertices` and each root before its arcs, so the first offender is
+    the one named."""
+    with pytest.raises(InputError) as e:
+        loads_instance(text)
+    assert str(e.value) == (
+        f"malformed instance document: expected an integer, got {first_bad}"
+    )
+
+
+def test_loaded_instance_holds_both_arc_tables(star_demo, p3_reversed):
+    """Loading validates each subtree and numbers its arcs in one walk: both
+    arc tables are stored at once and equal the ones a `_trusted` copy
+    computes on first use."""
+    generated = [item.instance for item in sweep_items(SweepSpec(60, 3))]
+    for inst in [star_demo, p3_reversed, *generated]:
+        loaded = loads_instance(dumps_instance(inst))
+        assert "arc_members" in loaded.__dict__
+        assert "arc_positions" in loaded.__dict__
+        trusted = Instance._trusted(loaded.tree, loaded.subtrees)
+        assert "arc_members" not in trusted.__dict__
+        assert loaded.arc_positions == trusted.arc_positions
+        assert loaded.arc_members == trusted.arc_members
 
 
 def test_coloring_format_plain():

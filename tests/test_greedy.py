@@ -41,6 +41,7 @@ from treewave import (
     process_edge_simple,
     sweep_items,
 )
+from treewave import greedy
 from treewave.greedy import ArcColors, _reuse_graph
 from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
@@ -280,6 +281,27 @@ class TestProcessEdge2:
         state_b = _state(inst)
         process_edge_simple(state_b, (0, 1))
         assert state_a.psi == state_b.psi == {0: 1, 1: 2}
+
+    def test_no_queue_on_fork_edge_builds_no_graph(self, star_tree, monkeypatch):
+        """Subtrees colored on {u,x} alone make the reuse graph non-empty, but
+        with nothing queued there its matching would color nothing, so it
+        is not built."""
+        inst = Instance(
+            star_tree,
+            (
+                RootedSubtree.of(0, [[0, 2]]),
+                RootedSubtree.of(0, [[0, 3]]),
+                RootedSubtree.of(3, [[3, 0]]),
+            ),
+        )
+
+        def unexpected(*args):
+            raise AssertionError("reuse graph built with nothing queued on {u,x}")
+
+        monkeypatch.setattr(greedy, "_reuse_graph", unexpected)
+        state = _state(inst, {1: 1, 2: 2})
+        process_edge_2(state, (0,), 0, 2, 3)
+        assert state.psi == {0: 1, 1: 1, 2: 2}
 
     def test_queue_pairs_on_fork_edge_share_colors(self, star_tree):
         inst = Instance(

@@ -45,6 +45,23 @@ class TestGenParams:
         with pytest.raises(InputError):
             GenParams(5, 3, 1, (3, 2), 0)
 
+    def test_ranges_hold_at_most_2_64_values(self):
+        """Each range the generator draws from may hold 2**64 values, not one
+        more; the checks run before anything is drawn or allocated."""
+        GenParams(2**64, 3, 1, (1, 2**64), 0)
+        GenParams(5, 3, 1, (7, 2**64 + 6), 0)
+        with pytest.raises(InputError, match=r"^num_vertices must be <= 2\*\*64$"):
+            GenParams(2**64 + 1, 3, 1, (1, 2), 0)
+        with pytest.raises(InputError, match=r"^subtree_size_range must span at most"):
+            GenParams(5, 3, 1, (1, 2**64 + 1), 0)
+        SweepSpec(1, 0, max_vertices=2**64, max_subtrees=2**64 - 1, max_arcs=2**64)
+        with pytest.raises(InputError, match=r"^max_vertices must be <= 2\*\*64$"):
+            SweepSpec(1, 0, max_vertices=2**64 + 1)
+        with pytest.raises(InputError, match=r"^max_subtrees must be < 2\*\*64$"):
+            SweepSpec(1, 0, max_subtrees=2**64)
+        with pytest.raises(InputError, match=r"^arc range must span at most"):
+            SweepSpec(1, 0, min_arcs=2, max_arcs=2**64 + 2)
+
     def test_single_vertex_with_subtrees_infeasible(self):
         with pytest.raises(InputError):
             GenParams(1, 3, 1, (1, 1), 0)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 
-from treewave.rng import XorShift64Star, derive_seed, splitmix64
+from treewave.rng import BELOW_LIMIT, XorShift64Star, derive_seed, splitmix64
 
 
 def test_splitmix64_reference_value():
@@ -44,6 +46,31 @@ def test_below_one_and_errors():
         rng.below(0)
     with pytest.raises(ValueError):
         rng.randint(3, 2)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("below() did not return")
+
+
+def test_below_refuses_more_than_2_64_values():
+    """One 64-bit draw covers at most 2**64 values; a larger n is refused
+    at once instead of rejection-sampling forever."""
+    assert BELOW_LIMIT == 2**64
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(5)
+    try:
+        rng = XorShift64Star(1)
+        for n in (2**64 + 1, 10**21, 2**70):
+            with pytest.raises(ValueError, match=r"^below\(\) needs n <= 2\*\*64$"):
+                rng.below(n)
+        with pytest.raises(ValueError):
+            rng.randint(0, 2**64)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the refusals drew nothing, and n = 2**64 still takes a draw as is
+    assert rng.below(2**64) == 5424204624148110235
+    assert rng.randint(1, 2**64) == 15555979849632202484 + 1
 
 
 def test_randint_inclusive():
