@@ -7,10 +7,10 @@ uniform arc populations.
 
 The conflict graph restricted to one host edge is the complement of a
 bipartite graph, so its chromatic number is exactly (population size)
-minus (maximum matching in the complement); maximized over edges this
-gives the certified lower bound.  Exact chromatic number and clique
-number come from small branch-and-bound oracles behind explicit size
-guards.
+minus (maximum matching in the complement, counted by
+`matching._matching_size`); maximized over edges this gives the
+certified lower bound.  Exact chromatic number and clique number come
+from small branch-and-bound oracles behind explicit size guards.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .instances import (
     edge_sides,
     load,
 )
+from .matching import _matching_size
 
 ORACLE_GUARD = 30
 
@@ -77,60 +78,6 @@ def normalize(inst: Instance) -> NormalizedInstance:
     return NormalizedInstance(padded, inst.size)
 
 
-def _matching_size(rows: Sequence[int], n_right: int) -> int:
-    """Size of a maximum matching in a bipartite graph given by bitmask
-    rows (bit rp of ``rows[lp]`` joins left lp to right rp).
-
-    Only the size is computed, so the pairs are free to differ from
-    `max_bipartite_matching`'s.  A greedy warm start gives each left the
-    lowest free right of its row; Kuhn's augmenting-path search then runs
-    once from each left still unmatched, until no right is free.  Between
-    augmentations the matching does not change, so the rights a failed
-    search visited lead to no free right and stay visited; the mask is
-    cleared after each success.  The search keeps its own stack.
-    """
-    match_r = [-1] * n_right
-    free = (1 << n_right) - 1
-    unmatched = []
-    for lp, row in enumerate(rows):
-        m = row & free
-        if m:
-            bit = m & -m
-            free ^= bit
-            match_r[bit.bit_length() - 1] = lp
-        else:
-            unmatched.append(lp)
-    size = len(rows) - len(unmatched)
-    visited = 0
-    for root in unmatched:
-        if not free:
-            break
-        # path[k] is the right position stack[k] is trying, whose owner is
-        # stack[k + 1]
-        stack = [root]
-        path: list[int] = []
-        while stack:
-            m = rows[stack[-1]] & ~visited
-            if not m:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            bit = m & -m
-            visited |= bit
-            r = bit.bit_length() - 1
-            path.append(r)
-            if free & bit:
-                for lp, rp in zip(stack, path):
-                    match_r[rp] = lp
-                free ^= bit
-                size += 1
-                visited = 0
-                break
-            stack.append(match_r[r])
-    return size
-
-
 def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     """Colors needed for the subtrees on one host edge alone.
 
@@ -141,7 +88,7 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     nothing can be matched, so the bound is the population (0 on an
     unused edge).  Otherwise the complement's rows come from
     `_complement_rows` and only the size of a maximum matching in them is
-    counted (`_matching_size`); no graph and no pairs are built.
+    counted (`matching._matching_size`); no graph and no pairs are built.
     """
     fwd, bwd = edge_sides(inst, *edge)
     if not fwd or not bwd:

@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .conflict import build_conflict_graph
 from .formats import (
+    _cell,
     dumps_coloring,
     dumps_instance,
     loads_coloring,
@@ -183,11 +184,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+    return _cell(value) or "-"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as e:
+        # a size that passes the parameter checks but cannot be allocated;
+        # a MemoryError usually carries no message of its own
+        print(f"error: size too large: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -388,14 +388,14 @@ def small_degree3_instances(draw) -> Instance:
 
 
 @settings(max_examples=200, deadline=None)
-@given(inst=small_degree3_instances())
-def test_targeted_ratio_search(inst):
+@given(inst=small_degree3_instances(), root=st.integers(0, 9))
+def test_targeted_ratio_search(inst, root):
     """Hypothesis steers towards the worst greedy/χ it can find on small
-    normalized instances; every one must stay within 5/2 and keep the
-    per-round bound."""
+    normalized instances, from a random root; every one must stay within
+    5/2 and keep the per-round bound."""
     padded = normalize(inst).padded
     assume(padded.size <= ORACLE_GUARD)
-    result = greedy_color(padded)
+    result = greedy_color(padded, root % inst.tree.vertices)
     assert verify_coloring(padded, result.coloring).ok
     assert round_bound_violations(result, load(inst)) == []
     greedy = result.coloring.colors_used
@@ -407,26 +407,36 @@ def test_targeted_ratio_search(inst):
 
 
 # Colors in use after each round of the greedy on the normalized instance,
-# by BFS root, and the fork rounds per root, for the two instances the
-# ratio hill-climbs found at greedy/χ = 5/3 (L = χ = LB = 3).
-RATIO_5_3 = {
-    "path": (((4, 5, 5, 5), (4, 4, 5, 5), (3, 3, 3, 3), (3, 3, 3, 3), (3, 3, 4, 4)), 0),
-    "star": (((4, 5, 5), (4, 5, 5), (3, 3, 3), (3, 3, 3)), 1),
+# by BFS root, the fork rounds per root and L = χ = LB, for the two
+# instances the ratio hill-climbs found at greedy/χ = 5/3 and the one a
+# fork-directed hill-climb found at greedy/χ = 2 (from roots 4 and 5).
+_TWOS = (2,) * 8
+_FOURS = (2, 2, 2, 4, 4, 4, 4, 4)
+RATIO_GOLDENS = {
+    "ratio_5_3_path": (
+        ((4, 5, 5, 5), (4, 4, 5, 5), (3, 3, 3, 3), (3, 3, 3, 3), (3, 3, 4, 4)),
+        0,
+        3,
+    ),
+    "ratio_5_3_star": (((4, 5, 5), (4, 5, 5), (3, 3, 3), (3, 3, 3)), 1, 3),
+    "ratio_2": ((_TWOS,) * 4 + (_FOURS,) * 2 + (_TWOS,) * 3, 3, 2),
 }
 
 
-@pytest.mark.parametrize("name", sorted(RATIO_5_3))
-def test_ratio_5_3_golden(name):
-    """At root 0 the first round, which colors first-fit, already puts 4
-    colors on an edge whose bound is 3, and the greedy ends at 5.  On the
-    star the fork round's two schemes tie."""
-    text = (GOLDEN / f"ratio_5_3_{name}_instance.json").read_text()
+@pytest.mark.parametrize("name", sorted(RATIO_GOLDENS))
+def test_ratio_golden(name):
+    """On the 5/3 instances the first round at root 0, which colors
+    first-fit, already puts 4 colors on an edge whose bound is 3, and the
+    greedy ends at 5.  On the ratio-2 instance root 0 is optimal, but from
+    roots 4 and 5 the second fork round takes the greedy from 2 colors to
+    4.  In every fork round the two schemes tie."""
+    text = (GOLDEN / f"{name}_instance.json").read_text()
     inst = loads_instance(text)
     assert dumps_instance(inst) == text
     padded = normalize(inst).padded
     chi = exact_chromatic(build_conflict_graph(padded))[0]
-    assert load(inst) == global_lower_bound(padded) == chi == 3
-    per_root, forks = RATIO_5_3[name]
+    per_root, forks, bound = RATIO_GOLDENS[name]
+    assert load(inst) == global_lower_bound(padded) == chi == bound
     assert len(per_root) == inst.tree.vertices
     for root, counts in enumerate(per_root):
         result = greedy_color(padded, root)
@@ -435,3 +445,22 @@ def test_ratio_5_3_golden(name):
         assert len(result.scheme_choices) == forks
         for c in result.scheme_choices:
             assert c.colors_scheme1 == c.colors_scheme2 == counts[c.round - 1]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ratio_2_family(k):
+    """Repeating each request of the ratio-2 instance k times keeps the
+    ratio at 2: L = LB = χ = 2k, and the greedy uses 4k colors from roots
+    4 and 5 and 2k from every other root, raw and normalized.  The padded
+    instance (16k subtrees) is over the oracle guard, so χ gets its own
+    limit."""
+    base = loads_instance((GOLDEN / "ratio_2_instance.json").read_text())
+    inst = Instance(base.tree, tuple(s for s in base.subtrees for _ in range(k)))
+    padded = normalize(inst).padded
+    assert padded.size == 16 * k > ORACLE_GUARD
+    chi = exact_chromatic(build_conflict_graph(padded), padded.size)[0]
+    assert load(inst) == global_lower_bound(padded) == chi == 2 * k
+    for root in range(inst.tree.vertices):
+        expected = 4 * k if root in (4, 5) else 2 * k
+        for target in (inst, padded):
+            assert greedy_color(target, root).coloring.colors_used == expected

@@ -51,12 +51,12 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
-from treewave.bounds import _first_fit_classes, _greedy_clique, _matching_size
+from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
 from treewave.instances import edge_sides
-from treewave.matching import max_bipartite_matching
+from treewave.matching import _matching_size, max_bipartite_matching
 from treewave.rng import XorShift64Star, derive_seed
 
 TRIANGLE_PLUS_ISOLATED = ((1, 2), (0, 2), (0, 1), ())

@@ -81,14 +81,37 @@ def test_bench_negative_max_subtrees_exit_2(capsys):
         pytest.param(
             ["bench", "--instances", "1", "--max-arcs", str(10**21)], id="bench_arc_range"
         ),
+        pytest.param(
+            ["gen", "--vertices", str(2**63), "--subtrees", "0", "--seed", "1"],
+            id="gen_vertices_2_63",
+        ),
+        pytest.param(
+            ["gen", "--vertices", str(2**64), "--subtrees", "0", "--seed", "1"],
+            id="gen_vertices_2_64",
+        ),
     ],
 )
 def test_ranges_beyond_one_draw_exit_2(capsys, argv):
     """A range the generator would draw from with more than 2**64 values
-    is refused before anything is drawn or allocated."""
+    is refused before anything is drawn or allocated.  A vertex count
+    above `sys.maxsize` but within one draw is refused by the first list
+    it would size, before anything is allocated."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_out_of_memory_exit_2(monkeypatch, capsys):
+    """A MemoryError, which has no message, becomes exit 2 with one."""
+
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr("treewave.cli.generate_instance", exhausted)
+    assert main(["gen", "--vertices", "5", "--subtrees", "3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: size too large: out of memory\n"
     assert captured.out == ""
 
 
@@ -428,6 +451,22 @@ def test_bench_csv_byte_stable(tmp_path):
     assert main(argv + ["--csv", str(csv2)]) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
     assert csv1.read_text().count("\n") == 16
+
+
+def test_bench_csv_summary_bytes(tmp_path, capsys):
+    """Under --csv the summary line is stdout: a missing ratio prints as
+    `-`, a float with six digits."""
+    argv = [
+        "bench", "--instances", "10", "--seed", "2", "--solvers", "greedy,bounds",
+        "--max-vertices", "40", "--max-subtrees", "60", "--max-arcs", "5",
+        "--csv", str(tmp_path / "out.csv"),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "summary: instances=10 with_exact=0 max_ratio_vs_exact=- "
+        "mean_ratio_vs_exact=- max_ratio_vs_lower_bound=1.166667 "
+        "mean_ratio_vs_lower_bound=1.024359 failures=0\n"
+    )
 
 
 def test_bench_reports_one_wall_time_line(capsys):

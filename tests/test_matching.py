@@ -14,6 +14,7 @@ from oracles import (
 )
 from test_conflict import edge_complements
 from treewave import BipartiteGraph, LimitError, max_bipartite_matching
+from treewave.matching import _matching_size
 from treewave.rng import XorShift64Star
 
 
@@ -62,6 +63,15 @@ class TestMaxBipartiteMatching:
         g = random_bipartite(777)
         assert max_bipartite_matching(g) == max_bipartite_matching(g)
 
+    def test_kept_mask_skips_what_a_failed_search_saw(self):
+        # left 1 fails after visiting right 0, and left 2 goes straight to
+        # right 1, as a fresh search would after finding right 0 taken;
+        # `fail_then_succeed` draws graphs with such a failure
+        g = _graph([0b01, 0b01, 0b11], 2)
+        assert max_bipartite_matching(g).pairs == ((0, 0), (2, 1)) == kuhn_recursive(g)
+        assert _matching_size(g.rows, 2) == 2
+        assert all(_fails_before_a_success(fail_then_succeed(s)) for s in range(200))
+
     def test_chain_deeper_than_recursion_limit(self):
         # left l -> rights l, l+1 and the last left -> right 0: the last
         # left's one augmenting path crosses every vertex
@@ -71,6 +81,49 @@ class TestMaxBipartiteMatching:
         m = max_bipartite_matching(g)
         assert m.size == n
         assert m.pairs[-1] == (n - 1, 0)
+
+
+def _graph(rows, n_right: int) -> BipartiteGraph:
+    return BipartiteGraph(
+        tuple(range(len(rows))), tuple(range(len(rows), len(rows) + n_right)), tuple(rows)
+    )
+
+
+def repeated_rows(seed: int) -> BipartiteGraph:
+    """Up to 8+8, each drawn row repeated in a run of 1-4 lefts, as the
+    greedy's reuse graphs repeat theirs."""
+    rng = XorShift64Star(seed)
+    nl = rng.randint(0, 8)
+    nr = rng.randint(0, 8)
+    density = rng.below(101)
+    rows: list[int] = []
+    while len(rows) < nl:
+        row = sum(1 << rp for rp in range(nr) if rng.below(100) < density)
+        rows += [row] * rng.randint(1, 4)
+    return _graph(rows[:nl], nr)
+
+
+def fail_then_succeed(seed: int) -> BipartiteGraph:
+    """More lefts than rights crowd onto the `few` lowest of at most 8
+    rights, so at least one fails after visiting some of them; every
+    later left joins a right above those, so the first of them succeeds."""
+    rng = XorShift64Star(seed)
+    nr = rng.randint(2, 8)
+    few = rng.randint(1, nr - 1)
+    crowd = [1 + rng.below((1 << few) - 1) for _ in range(few + rng.randint(1, 3))]
+    later = [
+        rng.below(1 << nr) | 1 << rng.randint(few, nr - 1)
+        for _ in range(rng.randint(1, 4))
+    ]
+    return _graph(crowd + later, nr)
+
+
+def _fails_before_a_success(g: BipartiteGraph) -> bool:
+    # Kuhn never rematches a left whose own search failed, so an
+    # unmatched left below a matched one failed before a later success
+    matched = {lp for lp, _ in kuhn_recursive(g)}
+    unmatched = set(range(len(g.rows))) - matched
+    return bool(matched and unmatched) and min(unmatched) < max(matched)
 
 
 class TestBruteForce:
@@ -89,17 +142,31 @@ class TestBruteForce:
             brute_force_matching_size(g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), from_instance=st.booleans())
-def test_matching_agrees_with_brute_force(seed, from_instance):
-    if from_instance:
+GRAPHS = {
+    "random": random_bipartite,
+    "repeated_rows": repeated_rows,
+    "fail_then_succeed": fail_then_succeed,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(GRAPHS) + ["instance"]),
+)
+def test_matching_agrees_with_brute_force(seed, kind):
+    """Pairs equal the recursive reference's and the size brute force's,
+    also for the size-only count; runs of repeated rows and lefts that
+    fail before later ones succeed test the search's kept visited mask."""
+    if kind == "instance":
         inst = make_instance(seed, max_vertices=6, max_subtrees=14)
         graphs = list(edge_complements(inst, seed))
     else:
-        graphs = [random_bipartite(seed)]
+        graphs = [GRAPHS[kind](seed)]
     for g in graphs:
         m = max_bipartite_matching(g)
         assert m.size == brute_force_matching_size(g)
+        assert _matching_size(g.rows, len(g.right)) == m.size
         assert m.pairs == kuhn_recursive(g)
 
 
