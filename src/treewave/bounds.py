@@ -1,16 +1,29 @@
 """Lower bounds, load normalization, and exact oracles.
 
 Normalization pads an instance with single-arc subtrees until every
-directed edge carries exactly the load; it never changes the chromatic
-number of the conflict graph, so analysis and certification can assume
-uniform arc populations.
+directed edge carries exactly the load, so analysis and certification
+can assume uniform arc populations.
 
 The conflict graph restricted to one host edge is the complement of a
 bipartite graph, so its chromatic number is exactly (population size)
 minus (maximum matching in the complement, counted by
 `matching._matching_size`); maximized over edges this gives the
-certified lower bound.  Exact chromatic number and clique number come
-from small branch-and-bound oracles behind explicit size guards.
+certified lower bound.  A complement of a bipartite graph is perfect, so
+each per-edge bound is also the size of a clique, and the global bound
+is a floor for the clique number.  Exact chromatic number and clique
+number come from small branch-and-bound oracles behind explicit size
+guards.
+
+Padding to the load L changes neither χ nor the global lower bound, so
+both can be computed on the smaller, unpadded instance:
+
+- χ: a padding subtree has L - 1 neighbors (the rest of its arc) and
+  χ >= L, so it always finds a free color.
+- lower bound: on an edge with sides a + d_a = b + d_b = L after
+  padding, the padded complement's maximum matching is min(L, ν + d_a +
+  d_b) for the unpadded one's ν, so the padded edge bound is max(L,
+  unpadded edge bound); the unpadded global bound is already at least
+  L, since each side of an edge is a clique.
 """
 
 from __future__ import annotations
@@ -149,44 +162,54 @@ def _first_fit_classes(cand: int, masks: Sequence[int]) -> list[int]:
     classes: list[int] = []
     m = cand
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        placed = False
-        for k in range(len(classes)):
-            if not (masks[v] & classes[k]):
-                classes[k] |= 1 << v
-                placed = True
+        bit = m & -m
+        m ^= bit
+        nbrs = masks[bit.bit_length() - 1]
+        for k, members in enumerate(classes):
+            if not nbrs & members:
+                classes[k] = members | bit
                 break
-        if not placed:
-            classes.append(1 << v)
+        else:
+            classes.append(bit)
     return classes
 
 
-def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int]:
+def _chromatic_number(
+    n: int, masks: Sequence[int], floor: int = 0
+) -> tuple[int, list[int], int]:
     """Exact chromatic number, an optimal witness (1-based colors) and ω.
 
-    Branch and bound: a greedy clique is pre-colored 1..k to break color
-    symmetry; the classes of `_first_fit_classes` on the whole graph give
-    the initial upper bound and witness, and the clique number ω, searched
-    from the greedy clique's size, the lower bound; vertices are then
-    chosen by maximum saturation (distinct neighbor colors), degree and
-    lowest index breaking ties, and a branch is cut as soon as it cannot
-    use fewer colors than the incumbent.  The incumbent only ever improves
-    strictly and never goes below ω, so the search returns as soon as it
-    reaches ω: that is the witness the full search would end with.
+    `floor` is the size of a clique known to exist (0 when none is
+    known); it never changes the result, only how much work finds it.
+    The classes of `_first_fit_classes` on the whole graph give the
+    initial upper bound and witness, with class k as color k+1.  When
+    `floor` already reaches their count, first-fit is optimal and that
+    count is ω as well, so no clique is built or searched.  Otherwise a
+    greedy clique is pre-colored 1..k to break color symmetry, and the
+    clique number ω, searched from the larger of the greedy clique's size
+    and `floor`, is the lower bound.  Vertices are then chosen by maximum
+    saturation (distinct neighbor colors), degree and lowest index
+    breaking ties, and a branch is cut as soon as it cannot use fewer
+    colors than the incumbent.  The incumbent only ever improves strictly
+    and never goes below ω, so the search returns as soon as it reaches
+    ω: that is the witness the full search would end with.
 
     The search is a loop over an explicit stack, so its depth is bounded
     by memory, not by the interpreter's recursion limit.  A frame is
-    ``[vertex, forbidden colors, colors in use before it, next color]``,
-    the forbidden colors kept from the neighbor scan that picked the
-    vertex; colors are tried in ascending order, and a color is entered
-    only if it uses at most one new color and fewer colors than the
-    incumbent.
+    ``[vertex, colors in use before it, next color]``; colors are tried in
+    ascending order, and a color is entered only if it uses at most one
+    new color and fewer colors than the incumbent.  Saturation is kept up
+    to date rather than rescanned: ``counts[u * width + c]`` is the number
+    of u's neighbors holding color c, ``seen[u]`` has bit c-1 set iff that
+    count is nonzero, and ``keys[u]`` is ``saturation * n + degree`` for an
+    uncolored u (a degree is below n, so the order of keys is the order of
+    (saturation, degree)) and -1 for a colored one.  The first maximal key
+    is the pick, and its forbidden colors are ``seen`` of it, which no
+    deeper frame still touches once the search is back at it.  Coloring
+    or uncoloring a vertex updates only its neighbors' entries.
     """
     if n == 0:
         return 0, [], 0
-    clique = _greedy_clique(n, masks)
-    lb = len(clique)
     classes = _first_fit_classes((1 << n) - 1, masks)
     ub = len(classes)
     best = [0] * n
@@ -194,53 +217,53 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
         while members:
             best[(members & -members).bit_length() - 1] = k
             members &= members - 1
+    if floor >= ub:
+        return ub, best, ub
+    clique = _greedy_clique(n, masks)
+    lb = len(clique)
     if lb == ub:
         return ub, best, lb
-    omega = _max_clique_size(n, masks, lb)
+    omega = _max_clique_size(n, masks, max(lb, floor))
     if omega == ub:
         return ub, best, omega
+    # colors stay below the first incumbent, so `ub` entries per vertex
+    # cover colors 1..ub-1
+    width = ub
     colors = [0] * n
+    counts = [0] * (n * width)
+    seen = [0] * n
+    keys = [masks[v].bit_count() for v in range(n)]
     for i, v in enumerate(clique):
         colors[v] = i + 1
-    degrees = [masks[v].bit_count() for v in range(n)]
+        keys[v] = -1
+    for v in clique:
+        _shift_color(masks[v], 0, colors[v], width, counts, seen, keys, n)
     stack: list[list[int]] = []
     used = lb
     while True:
         # descend: pick the uncolored vertex with max (saturation, degree),
         # min index
-        pick = -1
-        pick_sat = -1
-        pick_deg = -1
-        for v in range(n):
-            if colors[v]:
-                continue
-            seen = 0
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colors[u]:
-                    seen |= 1 << (colors[u] - 1)
-            sat = seen.bit_count()
-            if sat > pick_sat or (sat == pick_sat and degrees[v] > pick_deg):
-                pick_sat = sat
-                pick_deg = degrees[v]
-                pick = v
-                forbidden = seen
-        stack.append([pick, forbidden, used, 1])
+        stack.append([keys.index(max(keys)), used, 1])
         # advance to the next color worth entering, backtracking as needed
         while stack:
             frame = stack[-1]
-            pick, forbidden, used, c = frame
+            pick, used, c = frame
+            forbidden = seen[pick]
             top = used + 1 if used + 1 < ub else ub - 1
             while c <= top and forbidden >> (c - 1) & 1:
                 c += 1
+            old = colors[pick]
             if c > top or used >= ub:
-                colors[pick] = 0
+                if old:
+                    _shift_color(masks[pick], old, 0, width, counts, seen, keys, n)
+                    colors[pick] = 0
+                    keys[pick] = forbidden.bit_count() * n + masks[pick].bit_count()
                 stack.pop()
                 continue
-            frame[3] = c + 1
+            frame[2] = c + 1
+            _shift_color(masks[pick], old, c, width, counts, seen, keys, n)
             colors[pick] = c
+            keys[pick] = -1
             if c > used:
                 used = c
             if lb + len(stack) < n:
@@ -250,6 +273,40 @@ def _chromatic_number(n: int, masks: Sequence[int]) -> tuple[int, list[int], int
                 return ub, best, omega
         else:
             return ub, best, omega
+
+
+def _shift_color(
+    nbrs: int,
+    old: int,
+    new: int,
+    width: int,
+    counts: list[int],
+    seen: list[int],
+    keys: list[int],
+    n: int,
+) -> None:
+    """Move one vertex from color `old` to color `new` (0: none) in the
+    χ search's saturation tables of its neighbors `nbrs`."""
+    old_bit = 1 << (old - 1) if old else 0
+    new_bit = 1 << (new - 1) if new else 0
+    while nbrs:
+        u = (nbrs & -nbrs).bit_length() - 1
+        nbrs &= nbrs - 1
+        base = u * width
+        if old:
+            i = base + old
+            counts[i] -= 1
+            if not counts[i]:
+                seen[u] ^= old_bit
+                if keys[u] >= 0:
+                    keys[u] -= n
+        if new:
+            i = base + new
+            counts[i] += 1
+            if counts[i] == 1:
+                seen[u] |= new_bit
+                if keys[u] >= 0:
+                    keys[u] += n
 
 
 def _max_clique_size(n: int, masks: Sequence[int], best: int) -> int:
@@ -325,7 +382,10 @@ class BoundsReport:
 
 def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     """Bounds report; the exact quantities are skipped when over the guard.
-    Clique number and χ both come from the exact χ search."""
+    Clique number and χ both come from the exact χ search, which starts
+    from the global lower bound as a known clique size: when first-fit
+    already uses that many colors it is optimal and no clique is
+    searched."""
     per_edge = {
         edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in inst.tree.edges
     }
@@ -334,7 +394,7 @@ def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     chi = None
     if inst.size <= limit:
         g = build_conflict_graph(inst)
-        chi, _, clique = _chromatic_number(g.n, g.masks)
+        chi, _, clique = _chromatic_number(g.n, g.masks, glb)
     return BoundsReport(
         load=load(inst),
         per_edge_bound=per_edge,

@@ -4,8 +4,11 @@ The bench runner is the empirical check of the coloring guarantee: for
 every generated instance it normalizes, colors, verifies each produced
 coloring against the collision rule, and compares the greedy color count
 with the exact optimum (where the oracle's size guard allows) and with
-the matching lower bound.  A verification failure or a greedy/exact
-ratio above 5/2 fails the whole run.
+the matching lower bound.  The greedy runs on the normalized instance,
+which its analysis needs; the optimum and the lower bound, which padding
+does not change (see `bounds`), are computed on the smaller instance as
+given.  A verification failure or a greedy/exact ratio above 5/2 fails
+the whole run.
 """
 
 from __future__ import annotations
@@ -38,13 +41,19 @@ MAX_RATIO = 2.5
 ALL_SOLVERS = ("greedy", "baseline", "exact", "bounds")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise InputError("seed must satisfy 0 <= seed < 2**64")
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for one generated instance; fully determined by the seed.
 
     The vertex count and the size range are each a range the generator
     draws from, so neither may hold more than 2**64 values
-    (`XorShift64Star.below`).
+    (`XorShift64Star.below`).  The seed is one 64-bit word: a seed
+    outside [0, 2**64) is refused, not wrapped onto one inside it.
     """
 
     num_vertices: int
@@ -69,6 +78,7 @@ class GenParams:
             raise InputError("subtree_size_range must span at most 2**64 sizes")
         if self.num_vertices == 1 and self.num_subtrees > 0:
             raise InputError("a single-vertex tree has no links to route subtrees on")
+        _check_seed(self.seed)
 
 
 def generate_instance(p: GenParams) -> Instance:
@@ -190,7 +200,8 @@ class SweepSpec:
 
     Vertex counts, request counts and arc counts are drawn from these
     ranges, so none may hold more than 2**64 values
-    (`XorShift64Star.below`).
+    (`XorShift64Star.below`).  The base seed, like `GenParams.seed`, must
+    lie in [0, 2**64).
     """
 
     instances: int
@@ -216,6 +227,7 @@ class SweepSpec:
             raise InputError("arc range must satisfy 1 <= min <= max")
         if self.max_arcs - self.min_arcs + 1 > BELOW_LIMIT:
             raise InputError("arc range must span at most 2**64 sizes")
+        _check_seed(self.seed)
 
 
 def sweep_items(spec: SweepSpec) -> list[BenchItem]:
@@ -267,6 +279,14 @@ def bench_run(
 ) -> BenchOutcome:
     """Normalize, solve, verify, and score every instance.
 
+    The greedy colors the padded instance, and its coloring and round
+    bound are checked there; the baseline, the lower bound and the exact
+    optimum run on the instance as given, and the exact witness is
+    verified on it.  Padding changes neither the optimum nor the bound,
+    so every record equals one scored on the padded instance.  The exact
+    guard compares the padded size with `exact_limit`, so which records
+    carry an optimum does not depend on the instance it is computed on.
+
     Records come back sorted by instance id.  Failures (invalid colorings,
     round-bound violations, ratios above 5/2) do not stop the sweep; they
     are collected and reported so a caller can fail the run after seeing
@@ -285,7 +305,7 @@ def bench_run(
 
         lower = None
         if "bounds" in solvers:
-            lower = global_lower_bound(padded)
+            lower = global_lower_bound(inst)
 
         greedy_padded = greedy_original = None
         if "greedy" in solvers:
@@ -310,9 +330,9 @@ def bench_run(
 
         chi = None
         if "exact" in solvers and padded.size <= exact_limit:
-            g = build_conflict_graph(padded)
+            g = build_conflict_graph(inst)
             chi, witness = exact_chromatic(g, exact_limit)
-            _check_valid(failures, item, "exact witness", padded, witness)
+            _check_valid(failures, item, "exact witness", inst, witness)
 
         ratio_exact = None
         if chi is not None and chi > 0 and greedy_padded is not None:

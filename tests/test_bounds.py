@@ -8,7 +8,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
@@ -51,7 +51,7 @@ from treewave import (
     verify_coloring,
 )
 from treewave import instances
-from treewave.bounds import _first_fit_classes, _greedy_clique
+from treewave.bounds import _chromatic_number, _first_fit_classes, _greedy_clique
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
@@ -558,6 +558,72 @@ def test_normalization_preserves_chromatic_number(seed):
     assert chi_orig == chi_padded
 
 
+@st.composite
+def raw_instances(draw) -> Instance:
+    """A tree on 2-8 vertices of any degree, each vertex joining any earlier
+    one, and 0-10 requests of up to 4 arcs, each grown from its root by
+    taking one arc of the frontier at a time; not normalized."""
+    n = draw(st.integers(2, 8))
+    tree = HostTree.of(n, [(draw(st.integers(0, k - 1)), k) for k in range(1, n)])
+    subtrees = []
+    for _ in range(draw(st.integers(0, 10))):
+        root = draw(st.integers(0, n - 1))
+        size = draw(st.integers(1, 4))
+        visited = {root}
+        frontier = [(root, nb) for nb in tree.adjacency[root]]
+        arcs = []
+        while frontier and len(arcs) < size:
+            t, h = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+            visited.add(h)
+            arcs.append((t, h))
+            frontier += [(h, nb) for nb in tree.adjacency[h] if nb not in visited]
+        subtrees.append(RootedSubtree.of(root, arcs))
+    return Instance(tree, tuple(subtrees))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=raw_instances())
+def test_padding_raises_each_edge_bound_to_the_load_only(inst):
+    """Padding edge e to the load L turns its bound into max(L, bound on
+    the instance as given), and since each side of an edge is a clique the
+    raw global bound is already at least L: the two global bounds agree,
+    which is why `bench_run` scores the bound on the unpadded instance."""
+    padded = normalize(inst).padded
+    target = load(inst)
+    for u, v in inst.tree.edges:
+        raw = edge_lower_bound(inst, (u, v))
+        assert edge_lower_bound(padded, (u, v)) == max(target, raw)
+    assert global_lower_bound(padded) == global_lower_bound(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=raw_instances())
+def test_padding_keeps_chi_on_any_degree(inst):
+    """A padding request has L - 1 neighbors and χ >= L, so padding never
+    changes χ, whatever the host tree's degree."""
+    padded = normalize(inst).padded
+    assume(padded.size <= 30)
+    chi = exact_chromatic(build_conflict_graph(inst))[0]
+    assert exact_chromatic(build_conflict_graph(padded))[0] == chi
+
+
+def test_chromatic_floor_never_changes_the_result():
+    """Any floor from 0 to ω, a clique size known to exist, gives the
+    floor-0 (χ, witness, ω) exactly, on random graphs and on raw generated
+    instances, where the floor often reaches first-fit."""
+    rng = random.Random(23)
+    graphs = [_seeded_graph(rng, rng.randint(0, 14)) for _ in range(1500)]
+    for i in range(300):
+        params = GenParams(
+            rng.randint(5, 9), 3, rng.randint(16, 30), (1, 4), seed=rng.getrandbits(64)
+        )
+        graphs.append(build_conflict_graph(generate_instance(params)))
+    for g in graphs:
+        expected = _chromatic_number(g.n, g.masks)
+        for floor in range(expected[2] + 1):
+            assert _chromatic_number(g.n, g.masks, floor) == expected, (g.masks, floor)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sandwich_chain(seed):
@@ -591,12 +657,15 @@ def test_compute_bounds_respects_guard(p3_demo):
 
 
 
-def _chromatic_exit(g) -> str:
-    """Which return of the exact χ search the conflict graph `g` reaches."""
+def _chromatic_exit(g, floor: int) -> str:
+    """Which return of the exact χ search the conflict graph `g` reaches
+    from the clique floor `floor`."""
     if g.n == 0:
         return "empty"
-    lb = len(_greedy_clique(g.n, g.masks))
     ub = max(first_fit_reference(g.n, g.masks))
+    if floor >= ub:
+        return "floor meets first-fit"
+    lb = len(_greedy_clique(g.n, g.masks))
     if lb == ub:
         return "greedy clique"
     omega = max_clique(g)
@@ -619,25 +688,47 @@ def _five_cycle() -> Instance:
     return Instance(star, subtrees)
 
 
+def _triangle_across_edges() -> Instance:
+    """Three two-arc subtrees on a 3-leaf star, each pair sharing a
+    different arc: the triangle needs 3 colors, which first-fit and the
+    greedy clique both reach, while every edge carries only 2 of them, so
+    the per-edge bound stays below first-fit."""
+    star = HostTree.of(4, [[0, 1], [0, 2], [0, 3]])
+    subtrees = (
+        RootedSubtree.of(1, [[1, 0], [0, 2]]),
+        RootedSubtree.of(0, [[0, 2], [0, 3]]),
+        RootedSubtree.of(1, [[1, 0], [0, 3]]),
+    )
+    return Instance(star, subtrees)
+
+
 def test_compute_bounds_equals_the_public_oracles():
-    """On random raw instances under the guard and on a 5-cycle, reaching
-    every return of the χ search, the report's clique number and χ are
-    `max_clique` and `exact_chromatic` of the conflict graph."""
+    """On random raw instances under the guard, a 5-cycle and a triangle
+    across three edges, reaching every return of the χ search, the
+    report's clique number and χ are `max_clique` and `exact_chromatic`
+    of the conflict graph."""
     rng = random.Random(2018)
-    instances = [_five_cycle()]
+    instances = [_five_cycle(), _triangle_across_edges()]
     for _ in range(200):
         params = GenParams(
             rng.randint(2, 9), 3, rng.randint(0, 24), (1, 4), seed=rng.getrandbits(64)
         )
         instances.append(generate_instance(params))
-    names = ("empty", "greedy clique", "clique number", "search reaches ω", "search exhausted")
+    names = (
+        "empty",
+        "floor meets first-fit",
+        "greedy clique",
+        "clique number",
+        "search reaches ω",
+        "search exhausted",
+    )
     exits = dict.fromkeys(names, 0)
     for inst in instances:
         g = build_conflict_graph(inst)
         report = compute_bounds(inst)
         assert report.clique_lower_bound == max_clique(g)
         assert report.exact_chromatic == exact_chromatic(g)[0]
-        exits[_chromatic_exit(g)] += 1
+        exits[_chromatic_exit(g, report.global_lower_bound)] += 1
     assert all(exits.values()), exits
 
 

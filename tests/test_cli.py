@@ -4,7 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -89,17 +92,46 @@ def test_bench_negative_max_subtrees_exit_2(capsys):
             ["gen", "--vertices", str(2**64), "--subtrees", "0", "--seed", "1"],
             id="gen_vertices_2_64",
         ),
+        pytest.param(
+            ["gen", "--vertices", "3", "--subtrees", "2", "--seed", "-1"],
+            id="gen_seed_negative",
+        ),
+        pytest.param(
+            ["gen", "--vertices", "3", "--subtrees", "2", "--seed", str(2**64)],
+            id="gen_seed_2_64",
+        ),
+        pytest.param(["bench", "--instances", "1", "--seed", "-1"], id="bench_seed_negative"),
+        pytest.param(
+            ["bench", "--instances", "1", "--seed", str(2**64)], id="bench_seed_2_64"
+        ),
     ],
 )
 def test_ranges_beyond_one_draw_exit_2(capsys, argv):
     """A range the generator would draw from with more than 2**64 values
     is refused before anything is drawn or allocated.  A vertex count
     above `sys.maxsize` but within one draw is refused by the first list
-    it would size, before anything is allocated."""
+    it would size, before anything is allocated.  A seed outside one
+    64-bit word is refused rather than wrapped onto another seed."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m treewave` prints what `cli.main` prints and exits with its code."""
+    argv = ["gen", "--vertices", "6", "--subtrees", "4", "--seed", "3"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewave", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.stdout, proc.returncode) == (expected, code)
 
 
 def test_out_of_memory_exit_2(monkeypatch, capsys):
