@@ -169,13 +169,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     outcome = bench_run(items, solvers, root=args.root, exact_limit=args.exact_limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    csv_text = records_to_csv(outcome.records)
-    if args.csv:
-        Path(args.csv).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    to_file = args.csv not in (None, "-")
+    _write_text(records_to_csv(outcome.records), args.csv)
     summary_lines = [f"{key}={_fmt(value)}" for key, value in outcome.summary.items()]
-    target = sys.stdout if args.csv else sys.stderr
+    target = sys.stdout if to_file else sys.stderr
     print("summary: " + " ".join(summary_lines), file=target)
     for failure in outcome.failures:
         print("FAIL: " + failure, file=sys.stderr)

@@ -20,16 +20,21 @@ its arcs; the round loop counts the colors in use itself.  Each round
 reads the two directions of its edge from `Instance.arc_members`, through
 `edge_sides`.  A fork round builds its reuse graph from the edge's
 complement rows and ANDs each row with a mask of the right positions its
-left may share a color with.  It runs scheme 2 first, then scheme 1, and
-puts scheme 2 back only when scheme 1 uses more colors, so the usual
-winner costs no undo; the trace keeps per-round deltas.  The instance
-was validated when it was built; nothing here checks it again.
+left may share a color with.  It runs scheme 1 first.  Scheme 2 ends at
+no fewer than the colors already in use and loses ties, so when scheme 1
+opens no color (most fork rounds) it is committed as is; otherwise
+scheme 1 is undone, scheme 2 runs, and scheme 1 is put back unless
+scheme 2 uses fewer colors.  The trace keeps per-round deltas, and the
+scheme 2 counts of the rounds that skipped it are replayed only when
+`GreedyResult.scheme_choices` is first read.  The instance was validated
+when it was built; nothing here checks it again.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .conflict import BipartiteGraph, _complement_rows
@@ -329,9 +334,54 @@ class SchemeChoice:
 
 @dataclass(frozen=True)
 class GreedyResult:
+    """The coloring, one `RoundState` per round and one `SchemeChoice` per
+    fork round.
+
+    `contested` holds the choices of the fork rounds where scheme 1
+    opened a color, so both schemes ran.  In every other fork round
+    scheme 1 ended at the colors already in use, which scheme 2 cannot
+    beat, so it was committed without running scheme 2.
+    `scheme_choices` fills in those rounds' scheme 2 counts on first
+    read, by replaying the rounds on the run's `instance` and `order`.
+    """
+
     coloring: Coloring
     trace: tuple[RoundState, ...]
-    scheme_choices: tuple[SchemeChoice, ...]
+    contested: tuple[SchemeChoice, ...]
+    instance: Instance | None = None
+    order: EdgeOrder | None = None
+
+    @cached_property
+    def scheme_choices(self) -> tuple[SchemeChoice, ...]:
+        """Every fork round's choice, in round order.
+
+        A color never changes after its round, so before round r the
+        state is the subtrees colored in earlier rounds with their final
+        colors.  The replay rebuilds it round by round and runs scheme 2
+        on each fork round missing from `contested`.
+        """
+        if self.instance is None:  # built by hand, with nothing to replay
+            return self.contested
+        contested = {ch.round: ch for ch in self.contested}
+        final = self.coloring.assignment
+        state = ArcColors(self.instance)
+        choices: list[SchemeChoice] = []
+        used = 0
+        for rs in self.trace:
+            queue = rs.newly_colored
+            if rs.kind == 4:
+                choice = contested.get(rs.round)
+                if choice is None:
+                    u, v = rs.edge
+                    process_edge_2(state, queue, u, v, self.order.types[rs.round - 1].x)
+                    c2 = max([used, *[state.psi[q] for q in queue]])
+                    state.unassign(queue)
+                    choice = SchemeChoice(rs.round, rs.edge, 1, used, c2)
+                choices.append(choice)
+            for q in queue:
+                state.assign(q, final[q])
+            used = rs.colors_used_after
+        return tuple(choices)
 
 
 def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
@@ -344,7 +394,7 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     order = bfs_edge_order(inst.tree, root)
     state = ArcColors(inst)
     trace: list[RoundState] = []
-    choices: list[SchemeChoice] = []
+    contested: list[SchemeChoice] = []
     psi = state.psi
     # The colors in use are always 1..used: a subtree inherits a color in
     # use or takes a first fit, at most one above the largest color in use.
@@ -354,23 +404,20 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
         fwd, bwd = edge_sides(inst, u, v)
         queue = tuple(j for j in sorted(fwd + bwd) if j not in psi)
         if et.kind == 4:
-            process_edge_2(state, queue, u, v, et.x)
-            scheme2 = [psi[q] for q in queue]
-            c2 = max([used, *scheme2])
-            state.unassign(queue)
             process_edge_1(state, queue, (u, v))
-            c1 = max([used, *[psi[q] for q in queue]])
-            if c1 > c2:
+            scheme1 = [psi[q] for q in queue]
+            c1 = max([used, *scheme1])
+            if c1 > used:  # scheme 2 never ends below used: only now can it win
                 state.unassign(queue)
-                for q, c in zip(queue, scheme2):
-                    state.assign(q, c)
-            choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
+                process_edge_2(state, queue, u, v, et.x)
+                c2 = max([used, *[psi[q] for q in queue]])
+                if c1 <= c2:
+                    state.unassign(queue)
+                    for q, c in zip(queue, scheme1):
+                        state.assign(q, c)
+                contested.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
         else:
             process_edge_simple(state, queue)
         used = max([used, *[psi[q] for q in queue]])
         trace.append(RoundState(i, (u, v), queue, used, et.kind))
-    return GreedyResult(
-        coloring=Coloring(psi),
-        trace=tuple(trace),
-        scheme_choices=tuple(choices),
-    )
+    return GreedyResult(Coloring(psi), tuple(trace), tuple(contested), inst, order)

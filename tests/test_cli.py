@@ -184,6 +184,33 @@ def test_color_trace_goes_to_stderr(tmp_path, capsys):
     assert captured.out == ""
 
 
+# Fork-round traces past the star demo's, whose scheme 1 opens no color
+# and so runs alone: here scheme 1 opens one and scheme 2 runs too.
+# Generated by `gen --max-degree 3 --min-arcs 1 --max-arcs 4` at
+# --vertices 4 --subtrees 5 --seed 106 and --vertices 5 --subtrees 5 --seed 88.
+FORK_TRACES = {
+    "fork_scheme2_wins": (
+        "round 1: edge (0, 1) kind 1 newly_colored=[1, 2, 3, 4] colors=2\n"
+        "round 2: edge (1, 2) kind 4 newly_colored=[0, 5, 6] colors=2\n"
+        "round 3: edge (1, 3) kind 3 newly_colored=[7] colors=2\n"
+        "round 2: scheme 2 won (3 vs 2 colors)\n"
+    ),
+    "fork_scheme1_opens_a_color": (
+        "round 1: edge (0, 1) kind 1 newly_colored=[0, 1, 3, 4] colors=2\n"
+        "round 2: edge (0, 2) kind 4 newly_colored=[2] colors=3\n"
+        "round 3: edge (0, 3) kind 3 newly_colored=[5, 6] colors=3\n"
+        "round 4: edge (2, 4) kind 2 newly_colored=[7] colors=3\n"
+        "round 2: scheme 1 won (3 vs 3 colors)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORK_TRACES))
+def test_color_trace_of_contested_forks(name, capsys):
+    assert main(["color", str(GOLDEN / f"{name}_instance.json"), "--trace"]) == 0
+    assert capsys.readouterr().err == FORK_TRACES[name]
+
+
 def test_exact_and_bound(inst_file, capsys):
     assert main(["exact", str(inst_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -499,6 +526,23 @@ def test_bench_csv_summary_bytes(tmp_path, capsys):
         "mean_ratio_vs_exact=- max_ratio_vs_lower_bound=1.166667 "
         "mean_ratio_vs_lower_bound=1.024359 failures=0\n"
     )
+
+
+def test_bench_csv_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    """`--csv -` behaves as no `--csv`: the CSV is stdout, the summary
+    line is stderr, and no file named `-` is written."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--instances", "6", "--seed", "3"]
+    runs = []
+    for extra in ([], ["--csv", "-"]):
+        assert main(argv + extra) == 0
+        out, err = capsys.readouterr()
+        runs.append((out, re.sub(r"solver wall time: .*\n", "", err)))
+    assert runs[0] == runs[1]
+    out, err = runs[1]
+    assert out.startswith("instance_id,") and out.count("\n") == 7
+    assert err.startswith("summary: instances=6 ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_reports_one_wall_time_line(capsys):

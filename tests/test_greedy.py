@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from oracles import (
     subtrees_on_edge,
 )
 from treewave import (
+    Coloring,
     GenParams,
     HostTree,
     InputError,
@@ -525,13 +527,18 @@ def test_reuse_graph_matches_reference_on_normalized_forks():
     assert forks_seen >= 60
 
 
+def _color_large_padded(i):
+    """The i-th padded seed-1 `color-large` input (V=100, 200 requests)."""
+    params = GenParams(100, 3, 200, (1, 6), seed=derive_seed(1, i))
+    return normalize(generate_instance(params)).padded
+
+
 def test_reuse_graph_matches_reference_at_color_large_size():
     """The same replay on padded V=100, 200-request instances, where one
     side of a fork edge often carries several colored subtrees."""
     forks_seen = 0
     for i in range(8):
-        params = GenParams(100, 3, 200, (1, 6), seed=derive_seed(1, i))
-        padded = normalize(generate_instance(params)).padded
+        padded = _color_large_padded(i)
         psi, forks = _replay_with_subroutine_checks(padded, check_partial=False)
         forks_seen += forks
         assert dict(greedy_color(padded).coloring.assignment) == psi
@@ -585,6 +592,53 @@ def test_matches_whole_greedy_reference_on_color_large_inputs():
         assert _outputs(padded, 0) == expected
         forks += len(expected[2])
     assert forks == 2369
+
+
+def _check_scheme_2_runs_only_where_scheme_1_opens_a_color(inst, root):
+    """Scheme 2 runs during `greedy_color` exactly in the fork rounds whose
+    scheme 1 ended above the previous round's count, in round order;
+    `scheme_choices`, replayed when read, equals the reference's record,
+    and reading it changes neither the coloring nor the trace.  Returns
+    how many fork rounds ran scheme 2 and how many skipped it."""
+    with mock.patch.object(greedy, "process_edge_2", wraps=greedy.process_edge_2) as pe2:
+        res = greedy_color(inst, root)
+        ran = [(c.args[2], c.args[3]) for c in pe2.call_args_list]
+    unread = greedy_color(inst, root)
+    psi, rounds, choices = greedy_reference(inst, root)
+    opened = [edge for r, edge, _, c1, _ in choices if c1 > rounds[r - 2][3]]
+    assert ran == opened
+    first = res.scheme_choices
+    assert res.scheme_choices is first
+    assert (res.coloring, res.trace) == (unread.coloring, unread.trace)
+    assert dict(res.coloring.assignment) == psi
+    assert [(c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2) for c in first] == choices
+    assert unread.scheme_choices == first
+    return len(opened), len(choices) - len(opened)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    root=st.integers(0, 39),
+    normalized=st.booleans(),
+)
+def test_scheme_2_runs_only_where_scheme_1_opens_a_color(seed, root, normalized):
+    inst = make_instance(seed, max_vertices=40, max_subtrees=40, max_arcs=5)
+    if normalized:
+        inst = normalize(inst).padded
+    _check_scheme_2_runs_only_where_scheme_1_opens_a_color(inst, root % inst.tree.vertices)
+
+
+def test_scheme_2_runs_only_where_scheme_1_opens_a_color_at_color_large_size():
+    ran = skipped = 0
+    for i in range(8):
+        r, s = _check_scheme_2_runs_only_where_scheme_1_opens_a_color(_color_large_padded(i), 0)
+        ran, skipped = ran + r, skipped + s
+    assert ran > 0 and skipped > 10 * ran
+
+
+def test_result_built_without_rounds_reads_no_choices():
+    assert greedy.GreedyResult(Coloring(), (), ()).scheme_choices == ()
 
 
 # SHA-256 over greedy results (coloring, per-round kind/edge/newly_colored/
