@@ -39,7 +39,7 @@ def _int(value) -> int:
 def loads_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError: also an over-long integer
         raise InputError(f"not valid JSON: {e}") from e
     try:
         tree_doc = doc["tree"]

@@ -296,6 +296,8 @@ class TestExactChromatic:
     def test_empty_graph(self):
         chi, witness = exact_chromatic(ConflictGraph(()))
         assert chi == 0 and witness.assignment == {}
+        for floor in range(3):  # first-fit has no classes: the floor exit
+            assert _chromatic_number(0, (), floor) == (0, [], 0)
 
     def test_triangle(self):
         g = graph_of(((1, 2), (0, 2), (0, 1)))
@@ -658,8 +660,10 @@ def test_compute_bounds_respects_guard(p3_demo):
 
 
 def _chromatic_exit(g, floor: int) -> str:
-    """Which return of the exact χ search the conflict graph `g` reaches
-    from the clique floor `floor`."""
+    """Which case of the exact χ search the conflict graph `g` reaches
+    from the clique floor `floor`.  The empty graph leaves at the floor
+    exit, and a greedy clique as large as first-fit at the clique-number
+    exit without a clique search."""
     if g.n == 0:
         return "empty"
     ub = max(first_fit_reference(g.n, g.masks))

@@ -302,6 +302,7 @@ P3_TEXT = (
     '"subtrees":[{"root":0,"arcs":[[0,1]]},{"root":1,"arcs":[[1,0]]},'
     '{"root":0,"arcs":[[0,1],[1,2]]}]}'
 )
+HUGE_INT_TEXT = '{"tree":{"vertices":' + "9" * 5000 + ',"edges":[]},"subtrees":[]}'
 
 
 @pytest.mark.parametrize(
@@ -335,23 +336,32 @@ P3_TEXT = (
             "verify", P3_TEXT, '{"colors":' + "[" * 1000 + "]" * 1000 + "}",
             id="deep_coloring",
         ),
+        *(
+            pytest.param(
+                command, HUGE_INT_TEXT, '{"colors":[]}' if command == "verify" else None,
+                id=f"huge_int_{command.split()[0]}",
+            )
+            for command in ("color", "exact", "bound", "verify", "bench --instance")
+        ),
     ],
 )
 def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, coloring_text):
     """Input values are never coerced: anything but a JSON integer is
     rejected with exit 2 and nothing on stdout, and so are documents that
-    are not UTF-8 or nest deeper than the JSON parser can follow."""
+    are not UTF-8, nest deeper than the JSON parser can follow or hold an
+    integer longer than it converts (4,300 digits by default)."""
 
     def write(path, text):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return str(path)
 
-    argv = [command, write(tmp_path / "inst.json", instance_text)]
+    argv = [*command.split(), write(tmp_path / "inst.json", instance_text)]
     if coloring_text is not None:
         argv.append(write(tmp_path / "col.json", coloring_text))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -49,6 +49,12 @@ from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
 
 
+def _assert_fork_precedes_its_x(order):
+    for i, et in enumerate(order.types):
+        if et.kind == 4:
+            assert order.edges[i + 1] == (order.edges[i][0], et.x)
+
+
 class TestBfsEdgeOrder:
     def test_p3_from_end(self, p3_tree):
         order = bfs_edge_order(p3_tree, 0)
@@ -69,13 +75,18 @@ class TestBfsEdgeOrder:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_parent_side_already_discovered(self, seed):
+        """At every root, each edge runs from a discovered vertex to a new
+        one, and each fork round is followed by the round to its x, which
+        the replay of `GreedyResult.scheme_choices` reads x from."""
         inst = make_instance(seed)
-        order = bfs_edge_order(inst.tree, 0)
-        discovered = {0}
-        for u, v in order.edges:
-            assert u in discovered
-            assert v not in discovered
-            discovered.add(v)
+        for root in range(inst.tree.vertices):
+            order = bfs_edge_order(inst.tree, root)
+            discovered = {root}
+            for u, v in order.edges:
+                assert u in discovered
+                assert v not in discovered
+                discovered.add(v)
+            _assert_fork_precedes_its_x(order)
 
 
 class TestClassifyEdge:
@@ -109,6 +120,7 @@ class TestClassifyEdge:
         order = bfs_edge_order(tree, root)
         types = [classify_edge(order, i) for i in range(1, len(order.edges) + 1)]
         assert types == classify_edge_reference(tree, order.edges)
+        _assert_fork_precedes_its_x(order)
 
     def test_matches_reference_on_every_small_tree_and_root(self):
         """Every labeled tree of degree <= 3 on 2-7 vertices, under every root."""
