@@ -45,10 +45,11 @@ from .instances import Coloring, InputError
 
 
 def _read_text(path: str) -> str:
+    """A document as UTF-8 text, whatever the locale; `-` is stdin."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text()
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"cannot decode {path}: {e}") from e
 
@@ -57,7 +58,7 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -36,11 +36,20 @@ def _int(value) -> int:
     return value
 
 
-def loads_instance(text: str) -> Instance:
+def _parse_json(text: str, what: str):
+    """The JSON value of a `what` document; one message per way it fails."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # ValueError: also an over-long integer
-        raise InputError(f"not valid JSON: {e}") from e
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what} document is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise InputError(f"{what} document is nested too deeply") from e
+    except ValueError as e:  # an integer past the digit limit (4,300 by default)
+        raise InputError(f"{what} document holds an integer too long to read") from e
+
+
+def loads_instance(text: str) -> Instance:
+    doc = _parse_json(text, "instance")
     try:
         tree_doc = doc["tree"]
         edges = tuple([(_int(u), _int(v)) for u, v in tree_doc["edges"]])
@@ -52,7 +61,8 @@ def loads_instance(text: str) -> Instance:
             for s in doc["subtrees"]
         )
     except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed instance document: {e}") from e
+        missing = "missing key " if isinstance(e, KeyError) else ""
+        raise InputError(f"malformed instance document: {missing}{e}") from e
     return Instance(tree, subtrees)
 
 
@@ -73,14 +83,15 @@ def dumps_coloring(
 
 def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     """Returns (colors, original_colors or None)."""
+    doc = _parse_json(text, "coloring")
     try:
-        doc = json.loads(text)
         colors = [_int(c) for c in doc["colors"]]
         original = doc.get("original_colors")
         if original is not None:
             original = [_int(c) for c in original]
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed coloring document: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        missing = "missing key " if isinstance(e, KeyError) else ""
+        raise InputError(f"malformed coloring document: {missing}{e}") from e
     if any(c < 1 for c in colors) or (original and any(c < 1 for c in original)):
         raise InputError("colors must be positive integers")
     return colors, original

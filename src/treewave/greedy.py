@@ -4,12 +4,14 @@ The colorer processes host tree edges in BFS discovery order, one round
 per edge, coloring every still-uncolored subtree present on that edge.
 Edges are classified 1-4 by how many edges at the earlier-discovered
 endpoint are already processed; the BFS pass that orders the edges
-records each one's kind, and refuses a host tree of degree above 3, for
-which there is no kind.  Types 1-3 color first-fit.  Type 4 (a degree-3
-fork with exactly one processed sibling edge) runs two competing schemes
-that pair up color-shareable subtrees via a maximum matching in a
-complement conflict graph, and commits whichever scheme ends the round
-with fewer distinct colors in use.
+records each one's kind as an int, and refuses a host tree of degree
+above 3, for which there is no kind.  Types 1-3 color first-fit.  Type 4
+(a degree-3 fork {u,v} with one processed sibling edge) runs two
+competing schemes that pair up color-shareable subtrees via a maximum
+matching in a complement conflict graph, and commits whichever ends the
+round with fewer distinct colors in use.  The round loop and the
+`scheme_choices` replay both read x of the pending sibling {u,x} as the
+next round's far end.
 
 Two subtrees conflict exactly when they share an arc, so the state is
 kept per arc (`ArcColors`), as one color bitmask per arc in a list
@@ -50,32 +52,21 @@ from .matching import max_bipartite_matching
 
 
 @dataclass(frozen=True)
-class EdgeType:
-    """Classification of one round's edge; w/x only apply to kind 4."""
-
-    kind: int
-    w: int | None = None
-    x: int | None = None
-
-
-_SIMPLE_TYPES = (EdgeType(1), EdgeType(2), EdgeType(3))  # by processed-edge count
-
-
-@dataclass(frozen=True)
 class EdgeOrder:
     """Host tree edges in BFS discovery order, earlier endpoint first, and
-    each edge's type."""
+    each edge's kind (1-4).  A fork's x is the next round's far end and
+    the paper's w is read by no scheme, so neither is stored."""
 
     edges: tuple[tuple[int, int], ...]
-    types: tuple[EdgeType, ...]
+    kinds: tuple[int, ...]
 
 
 def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
     """BFS from `root`, neighbors in ascending vertex id; an edge is emitted,
-    and typed, the moment its far endpoint is discovered: at u's k-th child
-    (from 0), u's parent (none at the root) and its k earlier children are
-    processed, and that count with u's degree gives the type.  The one
-    check of the degree <= 3 rule, made before the root's."""
+    and given its kind, the moment its far endpoint is discovered: at u's
+    k-th child (from 0), u's parent (none at the root) and its k earlier
+    children are processed, and that count with u's degree gives the kind.
+    The one check of the degree <= 3 rule, made before the root's."""
     if not tree.degree_ok:
         raise InputError("greedy coloring requires host tree degree <= 3")
     if not (0 <= root < tree.vertices):
@@ -83,7 +74,7 @@ def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
     parent: dict[int, int | None] = {root: None}
     queue = deque([root])
     edges: list[tuple[int, int]] = []
-    types: list[EdgeType] = []
+    kinds: list[int] = []
     while queue:
         u = queue.popleft()
         p = parent[u]
@@ -94,29 +85,27 @@ def bfs_edge_order(tree: HostTree, root: int) -> EdgeOrder:
             edges.append((u, v))
             queue.append(v)
             done = k if p is None else k + 1
-            if done == 0 or done == degree - 1:  # kind 1, or no sibling pending
-                types.append(_SIMPLE_TYPES[done])
-            else:  # degree 3, one sibling processed
-                w = children[0] if p is None else p
-                types.append(EdgeType(4, w=w, x=children[k + 1]))
+            # a sibling processed and one pending is a fork; else done + 1
+            kinds.append(4 if 0 < done < degree - 1 else done + 1)
     if len(edges) != len(tree.edges):
         raise InternalError("BFS did not reach every edge of a valid tree")
-    return EdgeOrder(edges=tuple(edges), types=tuple(types))
+    return EdgeOrder(edges=tuple(edges), kinds=tuple(kinds))
 
 
-def classify_edge(order: EdgeOrder, i: int) -> EdgeType:
-    """Type of the i-th (1-based) edge in the order, recorded by the BFS pass.
+def classify_edge(order: EdgeOrder, i: int) -> int:
+    """Kind of the i-th (1-based) edge in the order, recorded by the BFS pass.
 
     With u the earlier-discovered endpoint: kind 1 if no edge at u is
     processed yet (only round 1), kind 2 if deg(u)=2 and the sibling edge
     is processed, kind 3 if deg(u)=3 and both siblings are processed,
-    kind 4 if deg(u)=3 and exactly one sibling is processed -- then w is
-    the processed sibling's far endpoint and x the unprocessed one's.
-    `bfs_edge_order` refused higher degrees, so every round has a type.
+    kind 4 if deg(u)=3 and exactly one sibling is processed.  BFS emits
+    u's edges in a row, so a fork's pending sibling {u,x} is the next
+    round's edge and x is `order.edges[i][1]`.  `bfs_edge_order` refused
+    higher degrees, so every round has a kind.
     """
     if not (1 <= i <= len(order.edges)):
         raise InputError(f"round index {i} out of range")
-    return order.types[i - 1]
+    return order.kinds[i - 1]
 
 
 class ArcColors:
@@ -401,16 +390,16 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     # use or takes a first fit, at most one above the largest color in use.
     used = 0
     for i, (u, v) in enumerate(order.edges, 1):
-        et = classify_edge(order, i)
+        kind = classify_edge(order, i)
         fwd, bwd = edge_sides(inst, u, v)
         queue = tuple(j for j in sorted(fwd + bwd) if j not in psi)
-        if et.kind == 4:
+        if kind == 4:
             process_edge_1(state, queue, (u, v))
             scheme1 = [psi[q] for q in queue]
             c1 = max([used, *scheme1])
             if c1 > used:  # scheme 2 never ends below used: only now can it win
                 state.unassign(queue)
-                process_edge_2(state, queue, u, v, et.x)
+                process_edge_2(state, queue, u, v, order.edges[i][1])
                 c2 = max([used, *[psi[q] for q in queue]])
                 if c1 <= c2:
                     state.unassign(queue)
@@ -420,5 +409,5 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
         else:
             process_edge_simple(state, queue)
         used = max([used, *[psi[q] for q in queue]])
-        trace.append(RoundState(i, (u, v), queue, used, et.kind))
+        trace.append(RoundState(i, (u, v), queue, used, kind))
     return GreedyResult(Coloring(psi), tuple(trace), tuple(contested), inst)

@@ -217,8 +217,8 @@ class Instance:
     restriction, `HostTree.degree_ok`, which only the greedy's
     `bfs_edge_order` enforces (generators, lower bounds and the exact
     oracles are degree-agnostic).  Input is validated once, where it
-    enters, and the same walk over each subtree's arcs fills both arc
-    tables, `arc_members` and `arc_positions`.  `Instance._trusted` skips
+    enters; the same walk over each subtree's arcs gives `arc_positions`,
+    and `arc_members` is built from it at once.  `Instance._trusted` skips
     the checks and is only for producers inside the package whose output
     is valid by construction (`normalize` padding a validated instance,
     handing over both tables; `generate_instance` growing a tree and its
@@ -240,7 +240,8 @@ class Instance:
             if violations:
                 raise InputError(f"invalid subtree {i}: " + "; ".join(violations))
             positions.append(row)
-        self._set_arc_tables(tuple(positions))
+        self.__dict__["arc_positions"] = tuple(positions)
+        self.arc_members  # built now from the walked positions: hold both tables
 
     @classmethod
     def _trusted(
@@ -265,31 +266,21 @@ class Instance:
             inst.__dict__["arc_positions"] = arc_positions
         return inst
 
-    def _set_arc_tables(self, positions: tuple[tuple[int, ...], ...]) -> None:
-        """Store `arc_positions` and the `arc_members` table it implies."""
-        members: list[list[int]] = [[] for _ in range(len(self.tree.arc_position))]
-        for i, row in enumerate(positions):
-            for p in row:
-                members[p].append(i)
-        self.__dict__["arc_members"] = tuple(map(tuple, members))
-        self.__dict__["arc_positions"] = positions
-
-    def _index_arcs(self) -> None:
-        """Build both arc tables of a `_trusted` instance handed none."""
-        get = self.tree.arc_position.__getitem__
-        self._set_arc_tables(tuple(tuple(map(get, s.arcs)) for s in self.subtrees))
-
-    @cached_property
-    def arc_members(self) -> tuple[tuple[int, ...], ...]:
-        """Per arc position, the ascending indices of the subtrees on it."""
-        self._index_arcs()
-        return self.__dict__["arc_members"]
-
     @cached_property
     def arc_positions(self) -> tuple[tuple[int, ...], ...]:
         """Per subtree, the positions (`HostTree.arc_position`) of its arcs."""
-        self._index_arcs()
-        return self.__dict__["arc_positions"]
+        get = self.tree.arc_position.__getitem__
+        return tuple(tuple(map(get, s.arcs)) for s in self.subtrees)
+
+    @cached_property
+    def arc_members(self) -> tuple[tuple[int, ...], ...]:
+        """Per arc position, the ascending indices of the subtrees on it:
+        `arc_positions` inverted."""
+        members: list[list[int]] = [[] for _ in range(len(self.tree.arc_position))]
+        for i, row in enumerate(self.arc_positions):
+            for p in row:
+                members[p].append(i)
+        return tuple(map(tuple, members))
 
     @property
     def size(self) -> int:

@@ -16,7 +16,8 @@ whose colors the package's first-fit classes must equal;
 validator as first written; `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex; and
 `classify_edge_reference`, the round classifier as first written, which
-rebuilds each round's sibling lists from the edges' round positions; and
+rebuilds each round's sibling lists from the edges' round positions and
+records the paper's w and x at each fork (`RoundType`); and
 `greedy_reference`, the whole greedy as it was when its digest was
 recorded, whose colorings, traces and scheme choices the package must
 equal.
@@ -30,7 +31,7 @@ adjacency and edge lists.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from treewave import (
     BipartiteGraph,
@@ -42,7 +43,6 @@ from treewave import (
     edge_complement_bipartite,
 )
 from treewave.bounds import _first_fit_classes, _greedy_clique
-from treewave.greedy import EdgeType
 from treewave.instances import ValidationReport, edge_key
 from treewave.rng import XorShift64Star
 
@@ -554,7 +554,17 @@ def labeled_trees(n: int):
         yield HostTree.of(n, edges)
 
 
-def classify_edge_reference(tree, edges) -> list[EdgeType]:
+class RoundType(NamedTuple):
+    """One round's type by the paper's definition: its kind and, for kind
+    4 only, w and x, the far ends of the processed and of the pending
+    sibling edge at the fork."""
+
+    kind: int
+    w: int | None = None
+    x: int | None = None
+
+
+def classify_edge_reference(tree, edges) -> list[RoundType]:
     """Type of every round of the BFS-ordered `edges`, classified as first
     written: each round's siblings at its earlier endpoint u are split
     into processed (earlier round) and pending by looking up the round
@@ -572,13 +582,13 @@ def classify_edge_reference(tree, edges) -> list[EdgeType]:
         if not done:
             if i != 1:
                 raise InternalError(f"round {i}: no processed edge at vertex {u}")
-            types.append(EdgeType(1))
+            types.append(RoundType(1))
         elif degree_u == 2 and len(done) == 1:
-            types.append(EdgeType(2))
+            types.append(RoundType(2))
         elif degree_u == 3 and len(done) == 2:
-            types.append(EdgeType(3))
+            types.append(RoundType(3))
         elif degree_u == 3 and len(done) == 1:
-            types.append(EdgeType(4, w=done[0], x=pending[0]))
+            types.append(RoundType(4, w=done[0], x=pending[0]))
         else:
             raise InternalError(
                 f"round {i}: cannot classify edge ({u},{v}), degree {degree_u}"

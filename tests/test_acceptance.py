@@ -337,12 +337,12 @@ def test_criterion_9_edge_classification(certification, p3_tree, star_tree):
     violations = []
     order = bfs_edge_order(star_tree, 0)
     kinds = [classify_edge(order, i) for i in (1, 2, 3)]
-    if [k.kind for k in kinds] != [1, 4, 3]:
-        violations.append(f"star kinds {[k.kind for k in kinds]} != [1, 4, 3]")
-    if (kinds[1].w, kinds[1].x) != (1, 3):
-        violations.append(f"star fork (w,x) {(kinds[1].w, kinds[1].x)} != (1, 3)")
+    if kinds != [1, 4, 3]:
+        violations.append(f"star kinds {kinds} != [1, 4, 3]")
+    if order.edges[2][1] != 3:  # the fork's x is the next round's far end
+        violations.append(f"star fork x {order.edges[2][1]} != 3")
     order3 = bfs_edge_order(p3_tree, 0)
-    p3_kinds = [classify_edge(order3, i).kind for i in (1, 2)]
+    p3_kinds = [classify_edge(order3, i) for i in (1, 2)]
     if p3_kinds != [1, 2]:
         violations.append(f"path kinds {p3_kinds} != [1, 2]")
     for rec in certification:

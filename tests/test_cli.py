@@ -28,6 +28,19 @@ from treewave.cli import main
 from treewave.formats import dumps_coloring, dumps_instance
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(*argv, flags=(), env=(), stdin=None):
+    """`python [flags] -m treewave argv` in a fresh interpreter, with
+    `env` added to the environment; stdout and stderr stay bytes."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "treewave", *argv],
+        input=stdin,
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), **dict(env)},
+    )
 
 
 @pytest.fixture
@@ -123,15 +136,64 @@ def test_python_dash_m_runs_the_cli(capsys):
     argv = ["gen", "--vertices", "6", "--subtrees", "4", "--seed", "3"]
     code = main(argv)
     expected = capsys.readouterr().out
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "treewave", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    proc = _run_module(*argv)
+    assert (proc.stdout.decode(), proc.returncode) == (expected, code)
+
+
+CAFE_TEXT = (
+    '{"note":"café","tree":{"vertices":3,"edges":[[0,1],[1,2]]},'
+    '"subtrees":[{"root":0,"arcs":[[0,1]]},{"root":1,"arcs":[[1,0]]}]}\n'
+)
+
+
+def test_utf8_document_loads_under_any_locale(tmp_path):
+    """Documents are UTF-8 whatever the locale: a non-ASCII value loads
+    the same under an ASCII locale with UTF-8 mode off."""
+    path = tmp_path / "cafe.json"
+    path.write_bytes(CAFE_TEXT.encode("utf-8"))
+    plain = {"PYTHONUTF8": "", "PYTHONIOENCODING": ""}
+    utf8 = _run_module("color", str(path), env=plain)
+    ascii_locale = _run_module(
+        "color", str(path), flags=("-X", "utf8=0"), env={**plain, "LC_ALL": "C"}
     )
-    assert (proc.stdout, proc.returncode) == (expected, code)
+    assert utf8.returncode == ascii_locale.returncode == 0
+    assert utf8.stdout == ascii_locale.stdout
+    assert json.loads(utf8.stdout)["original_num_colors"] == 1
+
+
+def test_color_reads_stdin(tmp_path):
+    """`color -` reads the document from stdin as UTF-8 bytes and prints
+    what `color FILE` prints."""
+    path = tmp_path / "cafe.json"
+    path.write_bytes(CAFE_TEXT.encode("utf-8"))
+    from_file = _run_module("color", str(path))
+    from_stdin = _run_module(
+        "color", "-", flags=("-X", "utf8=0"), env={"LC_ALL": "C"},
+        stdin=path.read_bytes(),
+    )
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_stdin.stdout == from_file.stdout
+    assert from_stdin.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["gen", "--vertices", "6", "--subtrees", "4", "--seed", "3"], id="gen"),
+        pytest.param(["color", str(GOLDEN / "star_demo_instance.json")], id="color"),
+        pytest.param(["bench", "--instances", "3", "--seed", "1"], id="bench"),
+    ],
+)
+def test_files_never_use_the_locale_encoding(tmp_path, argv):
+    """Every file the CLI reads or writes names its encoding: with
+    EncodingWarning raised as an error, `gen -o`, `color FILE` and
+    `bench --csv FILE` still exit 0."""
+    out = ["--csv" if argv[0] == "bench" else "-o", str(tmp_path / "out")]
+    proc = _run_module(
+        *argv, *out, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    )
+    assert (proc.returncode, proc.stderr.count(b"EncodingWarning")) == (0, 0)
+    assert (tmp_path / "out").stat().st_size > 0
 
 
 def test_out_of_memory_exit_2(monkeypatch, capsys):
@@ -303,6 +365,7 @@ P3_TEXT = (
     '{"root":0,"arcs":[[0,1],[1,2]]}]}'
 )
 HUGE_INT_TEXT = '{"tree":{"vertices":' + "9" * 5000 + ',"edges":[]},"subtrees":[]}'
+HUGE_COLOR_TEXT = '{"colors":[' + "9" * 5000 + ",1,2]}"
 
 
 @pytest.mark.parametrize(
@@ -343,13 +406,15 @@ HUGE_INT_TEXT = '{"tree":{"vertices":' + "9" * 5000 + ',"edges":[]},"subtrees":[
             )
             for command in ("color", "exact", "bound", "verify", "bench --instance")
         ),
+        pytest.param("verify", P3_TEXT, HUGE_COLOR_TEXT, id="huge_int_verify_color"),
     ],
 )
 def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, coloring_text):
     """Input values are never coerced: anything but a JSON integer is
     rejected with exit 2 and nothing on stdout, and so are documents that
     are not UTF-8, nest deeper than the JSON parser can follow or hold an
-    integer longer than it converts (4,300 digits by default)."""
+    integer longer than it converts (4,300 digits by default), without
+    Python's advice on raising that limit, which no option can act on."""
 
     def write(path, text):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -362,7 +427,62 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, instance_text, coloring_text, message",
+    [
+        pytest.param(
+            "color", "not json", None,
+            "instance document is not valid JSON: Expecting value: line 1 column 1 (char 0)",
+            id="bad_json_instance",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[1,1,2]',
+            "coloring document is not valid JSON: "
+            "Expecting ',' delimiter: line 1 column 18 (char 17)",
+            id="bad_json_coloring",
+        ),
+        pytest.param(
+            "bound", "[" * 100_000, None, "instance document is nested too deeply",
+            id="deep_instance",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":' + "[" * 100_000 + "]" * 100_000 + "}",
+            "coloring document is nested too deeply", id="deep_coloring",
+        ),
+        pytest.param(
+            "color", HUGE_INT_TEXT, None,
+            "instance document holds an integer too long to read", id="huge_int_instance",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, HUGE_COLOR_TEXT,
+            "coloring document holds an integer too long to read", id="huge_int_coloring",
+        ),
+        pytest.param(
+            "color", '{"tree":{"vertices":2,"edges":[[0,1]]}}', None,
+            "malformed instance document: missing key 'subtrees'", id="missing_subtrees",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"num_colors":2}',
+            "malformed coloring document: missing key 'colors'", id="missing_colors",
+        ),
+    ],
+)
+def test_document_defect_messages(
+    tmp_path, capsys, command, instance_text, coloring_text, message
+):
+    """Each defect of a document has one fixed message naming the document,
+    and exits 2 with nothing on stdout."""
+    argv = [command, str(tmp_path / "inst.json")]
+    (tmp_path / "inst.json").write_text(instance_text, encoding="utf-8")
+    if coloring_text is not None:
+        argv.append(str(tmp_path / "col.json"))
+        (tmp_path / "col.json").write_text(coloring_text, encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # json.dumps writes NaN and Infinity, which json.loads reads back as floats

@@ -94,6 +94,22 @@ def test_loaded_instance_holds_both_arc_tables(star_demo, p3_reversed):
         assert loaded.arc_members == trusted.arc_members
 
 
+@pytest.mark.parametrize("first", ["arc_positions", "arc_members"])
+def test_trusted_arc_tables_in_either_order(first, star_demo, p3_reversed):
+    """Each arc table of a `_trusted` instance has its own builder:
+    `arc_positions` read first builds only itself, and whichever table is
+    read first, both equal a loaded instance's tables."""
+    generated = [item.instance for item in sweep_items(SweepSpec(60, 5))]
+    for inst in [star_demo, p3_reversed, *generated]:
+        loaded = loads_instance(dumps_instance(inst))
+        trusted = Instance._trusted(loaded.tree, loaded.subtrees)
+        getattr(trusted, first)
+        if first == "arc_positions":
+            assert "arc_members" not in trusted.__dict__
+        assert trusted.arc_positions == loaded.arc_positions
+        assert trusted.arc_members == loaded.arc_members
+
+
 def test_coloring_format_plain():
     assert dumps_coloring([1, 1, 2]) == '{"colors":[1,1,2],"num_colors":2}\n'
     colors, original = loads_coloring('{"colors":[1,1,2],"num_colors":2}\n')

@@ -49,10 +49,15 @@ from treewave.matching import max_bipartite_matching
 from treewave.rng import derive_seed
 
 
-def _assert_fork_precedes_its_x(order):
-    for i, et in enumerate(order.types):
-        if et.kind == 4:
-            assert order.edges[i + 1] == (order.edges[i][0], et.x)
+def _assert_kinds_match_reference(tree, order):
+    """`order.kinds` are the reference's kinds, and each fork's x by the
+    paper's definition is the far end of the next round's edge, where the
+    round loop and the `GreedyResult.scheme_choices` replay read it."""
+    reference = classify_edge_reference(tree, order.edges)
+    assert order.kinds == tuple(rt.kind for rt in reference)
+    for i, rt in enumerate(reference):
+        if rt.kind == 4:
+            assert order.edges[i + 1] == (order.edges[i][0], rt.x)
 
 
 class TestBfsEdgeOrder:
@@ -76,8 +81,7 @@ class TestBfsEdgeOrder:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_parent_side_already_discovered(self, seed):
         """At every root, each edge runs from a discovered vertex to a new
-        one, and each fork round is followed by the round to its x, which
-        the replay of `GreedyResult.scheme_choices` reads x from."""
+        one, and the kinds and each fork's x agree with the reference."""
         inst = make_instance(seed)
         for root in range(inst.tree.vertices):
             order = bfs_edge_order(inst.tree, root)
@@ -86,19 +90,18 @@ class TestBfsEdgeOrder:
                 assert u in discovered
                 assert v not in discovered
                 discovered.add(v)
-            _assert_fork_precedes_its_x(order)
+            _assert_kinds_match_reference(inst.tree, order)
 
 
 class TestClassifyEdge:
     def test_star_types(self, star_tree):
         order = bfs_edge_order(star_tree, 0)
-        kinds = [classify_edge(order, i) for i in (1, 2, 3)]
-        assert [k.kind for k in kinds] == [1, 4, 3]
-        assert (kinds[1].w, kinds[1].x) == (1, 3)
+        assert [classify_edge(order, i) for i in (1, 2, 3)] == [1, 4, 3]
+        assert order.edges[2][1] == 3  # the fork's x, read from the next round
 
     def test_p3_types(self, p3_tree):
         order = bfs_edge_order(p3_tree, 0)
-        assert [classify_edge(order, i).kind for i in (1, 2)] == [1, 2]
+        assert [classify_edge(order, i) for i in (1, 2)] == [1, 2]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -106,7 +109,7 @@ class TestClassifyEdge:
         inst = make_instance(seed)
         order = bfs_edge_order(inst.tree, 0)
         if order.edges:
-            assert classify_edge(order, 1).kind == 1
+            assert classify_edge(order, 1) == 1
 
     def test_bad_round_index(self, p3_tree):
         order = bfs_edge_order(p3_tree, 0)
@@ -118,9 +121,9 @@ class TestClassifyEdge:
     @staticmethod
     def _assert_matches_reference(tree, root):
         order = bfs_edge_order(tree, root)
-        types = [classify_edge(order, i) for i in range(1, len(order.edges) + 1)]
-        assert types == classify_edge_reference(tree, order.edges)
-        _assert_fork_precedes_its_x(order)
+        kinds = [classify_edge(order, i) for i in range(1, len(order.edges) + 1)]
+        assert kinds == list(order.kinds)
+        _assert_kinds_match_reference(tree, order)
 
     def test_matches_reference_on_every_small_tree_and_root(self):
         """Every labeled tree of degree <= 3 on 2-7 vertices, under every root."""
@@ -373,9 +376,9 @@ def _replay_with_subroutine_checks(
     forks = 0
     for i in range(1, len(order.edges) + 1):
         u, v = order.edges[i - 1]
-        et = classify_edge(order, i)
+        kind = classify_edge(order, i)
         queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
-        if et.kind != 4:
+        if kind != 4:
             process_edge_simple(state, queue)
             assert not check_partial or _partial_valid(inst, state.psi)
             assert _state_consistent(state)
@@ -406,7 +409,8 @@ def _replay_with_subroutine_checks(
         assert state.psi == before and _state_consistent(state)
 
         # scheme 2 invariants
-        on_ux = set(subtrees_on_edge(inst, (u, et.x)))
+        x = order.edges[i][1]
+        on_ux = set(subtrees_on_edge(inst, (u, x)))
         colored_uv = {
             k for k in subtrees_on_edge(inst, (u, v)) if k in colored
         }
@@ -415,10 +419,10 @@ def _replay_with_subroutine_checks(
             for k in sorted(on_ux)
             if (k in colored and k not in colored_uv) or k in qset
         ]
-        bip2 = _reuse_graph(state, *_sides(inst, (u, et.x), members2))
-        assert bip2 == reuse_graph_reference(state, (u, et.x), members2)
+        bip2 = _reuse_graph(state, *_sides(inst, (u, x), members2))
+        assert bip2 == reuse_graph_reference(state, (u, x), members2)
         m2 = max_bipartite_matching(bip2)
-        process_edge_2(state, queue, u, v, et.x)
+        process_edge_2(state, queue, u, v, x)
         psi2 = dict(state.psi)
         assert not check_partial or _partial_valid(inst, psi2)
         assert set(queue) <= set(psi2)
