@@ -9,7 +9,7 @@ timing information goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -23,9 +23,10 @@ from .bounds import (
 )
 from .conflict import build_conflict_graph
 from .formats import (
-    _cell,
+    dumps_bounds,
     dumps_coloring,
     dumps_instance,
+    dumps_summary,
     loads_coloring,
     loads_instance,
     records_to_csv,
@@ -117,17 +118,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     inst = loads_instance(_read_text(args.instance))
-    report = compute_bounds(inst, limit=args.limit)
-    doc = {
-        "load": report.load,
-        "per_edge_bound": {
-            f"{u}-{v}": b for (u, v), b in sorted(report.per_edge_bound.items())
-        },
-        "global_lower_bound": report.global_lower_bound,
-        "clique_lower_bound": report.clique_lower_bound,
-        "exact_chromatic": report.exact_chromatic,
-    }
-    _write_text(json.dumps(doc, separators=(",", ":")) + "\n", args.output)
+    _write_text(dumps_bounds(compute_bounds(inst, limit=args.limit)), args.output)
     return 0
 
 
@@ -137,9 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if len(colors) != inst.size and original is not None and len(original) == inst.size:
         colors = original  # padded-run document checked against the original instance
     if len(colors) != inst.size:
-        raise InputError(
-            f"coloring has {len(colors)} entries for {inst.size} subtrees"
-        )
+        raise InputError(f"coloring has {len(colors)} entries for {inst.size} subtrees")
     rep = verify_coloring(inst, Coloring(dict(enumerate(colors))))
     if rep.ok:
         print("valid")
@@ -157,32 +146,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for i, path in enumerate(args.instance)
         ]
     else:
-        spec = SweepSpec(
-            instances=args.instances,
-            seed=args.seed,
-            max_vertices=args.max_vertices,
-            max_degree=args.max_degree,
-            max_subtrees=args.max_subtrees,
-            min_arcs=args.min_arcs,
-            max_arcs=args.max_arcs,
-        )
-        items = sweep_items(spec)
+        # each sweep flag's dest is the name of the SweepSpec field it sets
+        spec = {f.name: getattr(args, f.name) for f in dataclasses.fields(SweepSpec)}
+        items = sweep_items(SweepSpec(**spec))
     start = time.perf_counter()
     outcome = bench_run(items, solvers, root=args.root, exact_limit=args.exact_limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     to_file = args.csv not in (None, "-")
     _write_text(records_to_csv(outcome.records), args.csv)
-    summary_lines = [f"{key}={_fmt(value)}" for key, value in outcome.summary.items()]
-    target = sys.stdout if to_file else sys.stderr
-    print("summary: " + " ".join(summary_lines), file=target)
+    (sys.stdout if to_file else sys.stderr).write(dumps_summary(outcome.summary))
     for failure in outcome.failures:
         print("FAIL: " + failure, file=sys.stderr)
     print(f"solver wall time: {elapsed_ms:.1f} ms", file=sys.stderr)
     return 0 if outcome.ok else 1
-
-
-def _fmt(value) -> str:
-    return _cell(value) or "-"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,11 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep instances, solve, verify, score")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-degree", type=int, default=3, choices=(2, 3))
-    p.add_argument("--max-subtrees", type=int, default=10)
-    p.add_argument("--min-arcs", type=int, default=1)
-    p.add_argument("--max-arcs", type=int, default=3)
+    p.add_argument("--max-vertices", type=int, default=SweepSpec.max_vertices)
+    p.add_argument(
+        "--max-degree", type=int, default=SweepSpec.max_degree, choices=(2, 3)
+    )
+    p.add_argument("--max-subtrees", type=int, default=SweepSpec.max_subtrees)
+    p.add_argument("--min-arcs", type=int, default=SweepSpec.min_arcs)
+    p.add_argument("--max-arcs", type=int, default=SweepSpec.max_arcs)
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--exact-limit", type=int, default=ORACLE_GUARD)
     p.add_argument("--solvers", default=",".join(ALL_SOLVERS))

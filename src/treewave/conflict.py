@@ -12,12 +12,9 @@ are built from per-arc masks, never by testing pairs: a conflict row ORs
 the cliques of its subtree's arcs, a complement row clears the right
 positions on its left's arcs, read by arc position.
 
-`edge_complement_bipartite` reads its edge's two sides once with
-`edge_sides`, which rejects a non-edge, checks and splits its subset by
-them and builds its rows with the unchecked `_complement_rows`.  The
-greedy colorer's reuse graph and the per-edge lower bound take their rows
-from `_complement_rows` directly, on the sides `edge_sides` returns; the
-lower bound only counts a matching in them and builds no graph at all.
+`edge_complement_bipartite` splits its subset along the ascending sides
+from `edge_sides`, sorting nothing; the greedy's reuse graph and the
+per-edge lower bound take rows from the unchecked `_complement_rows`.
 """
 
 from __future__ import annotations
@@ -118,18 +115,14 @@ def edge_complement_bipartite(
     """
     u, v = edge
     fwd, bwd = edge_sides(inst, u, v)
-    if len(set(subset)) != len(subset):
+    members = set(subset)
+    if len(members) != len(subset):
         raise InputError("subset contains duplicate indices")
-    on_left = set(fwd)
-    on_edge = on_left.union(bwd)
-    for i in subset:
-        if i not in on_edge:
-            a, b = edge_key(u, v)
-            raise InputError(f"subtree {i} is not present on edge {{{a},{b}}}")
-    left: list[int] = []
-    right: list[int] = []
-    for i in sorted(subset):
-        (left if i in on_left else right).append(i)
-    return BipartiteGraph(
-        tuple(left), tuple(right), tuple(_complement_rows(inst, left, right))
-    )
+    left = tuple(i for i in fwd if i in members)
+    right = tuple(i for i in bwd if i in members)
+    if len(left) + len(right) != len(members):
+        on_edge = set(fwd + bwd)
+        stray = next(i for i in subset if i not in on_edge)
+        a, b = edge_key(u, v)
+        raise InputError(f"subtree {stray} is not present on edge {{{a},{b}}}")
+    return BipartiteGraph(left, right, tuple(_complement_rows(inst, left, right)))

@@ -14,22 +14,13 @@ round with fewer distinct colors in use.  The round loop and the
 next round's far end.
 
 Two subtrees conflict exactly when they share an arc, so the state is
-kept per arc (`ArcColors`), as one color bitmask per arc in a list
-indexed by the host tree's arc positions (`HostTree.arc_position`), and
-no conflict graph is built.  One routine, `assign_first_fit`, gives a
-subtree, or a fork's matched uncolored pair, the lowest color on none of
-its arcs; the round loop counts the colors in use itself.  Each round
-reads the two directions of its edge from `Instance.arc_members`, through
-`edge_sides`.  A fork round builds its reuse graph from the edge's
-complement rows and ANDs each row with a mask of the right positions its
-left may share a color with.  It runs scheme 1 first.  Scheme 2 ends at
-no fewer than the colors already in use and loses ties, so when scheme 1
-opens no color (most fork rounds) it is committed as is; otherwise
-scheme 1 is undone, scheme 2 runs, and scheme 1 is put back unless
-scheme 2 uses fewer colors.  The trace keeps per-round deltas, and the
-scheme 2 counts of the rounds that skipped it are replayed from it only
-when `GreedyResult.scheme_choices` is first read.  The instance was
-validated when it was built; nothing here checks it again.
+one color bitmask per arc position (`ArcColors`) and no conflict graph
+is built.  Scheme 2 ends at no fewer than the colors already in use and
+loses ties, so a fork round runs it only when scheme 1 opens a color; its
+counts for the other fork rounds are replayed from the trace, on the
+instance every `GreedyResult` carries, when `GreedyResult.scheme_choices`
+is first read.  The instance was validated when it was built; nothing
+here checks it again.
 """
 
 from __future__ import annotations
@@ -226,7 +217,7 @@ def _reuse_graph(
         c = psi.get(i)
         if c is not None:
             row &= colored_at.get(c, 0) | (uncolored & ~near.get(c, 0))
-        elif row:
+        else:
             m = state.colors_on(i) & right_colors
             while m:
                 row &= ~colored_at[(m & -m).bit_length() - 1]
@@ -339,7 +330,7 @@ class GreedyResult:
     coloring: Coloring
     trace: tuple[RoundState, ...]
     contested: tuple[SchemeChoice, ...]
-    instance: Instance | None = None
+    instance: Instance
 
     @cached_property
     def scheme_choices(self) -> tuple[SchemeChoice, ...]:
@@ -351,8 +342,6 @@ class GreedyResult:
         on each fork round missing from `contested`, whose x is the far
         end of the next round's edge (`bfs_edge_order`).
         """
-        if self.instance is None:  # built by hand, with nothing to replay
-            return self.contested
         contested = {ch.round: ch for ch in self.contested}
         final = self.coloring.assignment
         state = ArcColors(self.instance)

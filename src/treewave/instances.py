@@ -10,6 +10,8 @@ are allowed and kept apart.
 Arcs are numbered once, by the host tree (`HostTree.arc_position`): edge
 k of its edge list has its (min,max) arc at 2k and its (max,min) arc at
 2k+1, and every per-arc table or state in the package uses that numbering.
+The host tree has no edge test of its own; `edge_sides` is the one check
+that a vertex pair is a host edge.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -17,7 +19,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -86,9 +88,6 @@ class HostTree:
     def degree_ok(self) -> bool:
         """True iff every vertex has degree <= 3 (what the greedy colorer needs)."""
         return all(len(ns) <= 3 for ns in self.adjacency)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.arc_position
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,7 @@ def edge_sides(
 class Coloring:
     """Map from subtree index to a positive color; partial during a run."""
 
-    assignment: Mapping[int, int] = field(default_factory=dict)
+    assignment: Mapping[int, int]
 
     @property
     def colors_used(self) -> int:

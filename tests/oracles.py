@@ -22,8 +22,8 @@ records the paper's w and x at each fork (`RoundType`); and
 recorded, whose colorings, traces and scheme choices the package must
 equal.
 `labeled_trees` enumerates every labeled tree on n vertices.  `collide`,
-`subtrees_on_arc`, `subtrees_on_edge` and `induced` are small helpers
-that only the tests need; `graph_of`/`neighbors` and
+`host_arcs`, `subtrees_on_arc`, `subtrees_on_edge` and `induced` are
+small helpers that only the tests need; `graph_of`/`neighbors` and
 `bipartite_of`/`edges_of` convert the package's bitmask rows to and from
 adjacency and edge lists.
 """
@@ -58,10 +58,15 @@ def collide(a, b) -> bool:
     return not set(a.arcs).isdisjoint(b.arcs)
 
 
+def host_arcs(tree) -> set[tuple[int, int]]:
+    """Both arcs of every host edge, rebuilt from the edge list."""
+    return {arc for u, v in tree.edges for arc in ((u, v), (v, u))}
+
+
 def subtrees_on_arc(inst, arc) -> tuple[int, ...]:
     """Ascending indices of subtrees present on one directed edge."""
     t, h = arc
-    if not inst.tree.has_edge(t, h):
+    if (t, h) not in host_arcs(inst.tree):
         raise InputError(f"({t},{h}) is not an edge of the host tree")
     return inst.arc_members[inst.tree.arc_position[t, h]]
 
@@ -483,8 +488,9 @@ def tree_edges_reference(p) -> list[tuple[int, int]]:
 
 
 def validate_subtree_reference(tree, s) -> ValidationReport:
-    """The package's subtree validator as first written: `has_edge` and
-    `edge_key` per arc, and the vertex set rebuilt from root and arcs."""
+    """The package's subtree validator as first written: a host-arc lookup
+    and `edge_key` per arc, and the vertex set rebuilt from root and arcs."""
+    arcs = host_arcs(tree)
     violations: list[str] = []
     if not s.arcs:
         violations.append("subtree has no arcs (requests must occupy a fiber link)")
@@ -495,7 +501,7 @@ def validate_subtree_reference(tree, s) -> ValidationReport:
         if t == h:
             violations.append(f"arc ({t},{h}) is a self-loop")
             continue
-        if not tree.has_edge(t, h):
+        if (t, h) not in arcs:
             violations.append(f"arc ({t},{h}) is not a host tree edge")
         k = edge_key(t, h)
         if k in skeleton:

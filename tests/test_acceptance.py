@@ -313,7 +313,7 @@ def test_criterion_8_determinism_and_goldens(tmp_path, p3_demo, star_demo):
 
     for name, inst in (("p3_demo", p3_demo), ("star_demo", star_demo)):
         inst_path = tmp_path / f"{name}_instance.json"
-        inst_path.write_text(dumps_instance(inst))
+        inst_path.write_text(dumps_instance(inst), encoding="utf-8")
         if inst_path.read_bytes() != (GOLDEN / f"{name}_instance.json").read_bytes():
             violations.append(f"{name}: instance bytes differ from golden")
         out = run_twice(["color", str(inst_path)], f"color_{name}")
@@ -430,7 +430,7 @@ def test_ratio_golden(name):
     greedy ends at 5.  On the ratio-2 instance root 0 is optimal, but from
     roots 4 and 5 the second fork round takes the greedy from 2 colors to
     4.  In every fork round the two schemes tie."""
-    text = (GOLDEN / f"{name}_instance.json").read_text()
+    text = (GOLDEN / f"{name}_instance.json").read_text(encoding="utf-8")
     inst = loads_instance(text)
     assert dumps_instance(inst) == text
     padded = normalize(inst).padded
@@ -454,7 +454,8 @@ def test_ratio_2_family(k):
     4 and 5 and 2k from every other root, raw and normalized.  The padded
     instance (16k subtrees) is over the oracle guard, so χ gets its own
     limit."""
-    base = loads_instance((GOLDEN / "ratio_2_instance.json").read_text())
+    text = (GOLDEN / "ratio_2_instance.json").read_text(encoding="utf-8")
+    base = loads_instance(text)
     inst = Instance(base.tree, tuple(s for s in base.subtrees for _ in range(k)))
     padded = normalize(inst).padded
     assert padded.size == 16 * k > ORACLE_GUARD

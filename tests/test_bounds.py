@@ -419,7 +419,7 @@ class TestStopAtCliqueNumber:
     def test_bound_cli_finishes(self, tmp_path, capsys):
         params, chi = FIRST_FIT_AT_OMEGA[0].values
         path = tmp_path / "inst.json"
-        path.write_text(dumps_instance(generate_instance(params)))
+        path.write_text(dumps_instance(generate_instance(params)), encoding="utf-8")
         with time_budget(2.0):
             assert main(["bound", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -46,7 +46,7 @@ def _run_module(*argv, flags=(), env=(), stdin=None):
 @pytest.fixture
 def inst_file(tmp_path, p3_demo):
     path = tmp_path / "inst.json"
-    path.write_text(dumps_instance(p3_demo))
+    path.write_text(dumps_instance(p3_demo), encoding="utf-8")
     return path
 
 
@@ -57,7 +57,7 @@ def test_gen_writes_instance_and_repeats(tmp_path):
     assert main(argv + ["-o", str(out1)]) == 0
     assert main(argv + ["-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    doc = json.loads(out1.read_text())
+    doc = json.loads(out1.read_text(encoding="utf-8"))
     assert doc["tree"]["vertices"] == 7
     assert len(doc["subtrees"]) == 5
 
@@ -212,7 +212,7 @@ def test_out_of_memory_exit_2(monkeypatch, capsys):
 def test_color_default_normalizes(inst_file, tmp_path):
     out = tmp_path / "col.json"
     assert main(["color", str(inst_file), "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["num_colors"] == 2
     assert doc["original_num_colors"] == 2
     assert len(doc["colors"]) == 7
@@ -222,11 +222,11 @@ def test_color_default_normalizes(inst_file, tmp_path):
 def test_color_no_normalize_and_baseline(inst_file, tmp_path):
     out = tmp_path / "col.json"
     assert main(["color", str(inst_file), "--no-normalize", "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert "original_colors" not in doc
     assert len(doc["colors"]) == 3
     assert main(["color", str(inst_file), "--algo", "baseline", "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["colors"] == [1, 1, 2]
+    assert json.loads(out.read_text(encoding="utf-8"))["colors"] == [1, 1, 2]
 
 
 STAR_DEMO_TRACE = (
@@ -320,7 +320,8 @@ def test_exact_and_bound_at_raised_limit(tmp_path, capsys):
     ]
     tree = HostTree.of(n, [[v, v + 1] for v in range(n - 1)])
     path = tmp_path / "path.json"
-    path.write_text(dumps_instance(Instance(tree, tuple(head + singles))))
+    text = dumps_instance(Instance(tree, tuple(head + singles)))
+    path.write_text(text, encoding="utf-8")
     assert main(["exact", str(path), "--limit", "5000"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["num_colors"] == 2
@@ -334,11 +335,11 @@ def test_exact_and_bound_at_raised_limit(tmp_path, capsys):
 
 def test_verify_exit_codes(inst_file, tmp_path, capsys):
     good = tmp_path / "good.json"
-    good.write_text('{"colors":[1,1,2],"num_colors":2}\n')
+    good.write_text('{"colors":[1,1,2],"num_colors":2}\n', encoding="utf-8")
     bad = tmp_path / "bad.json"
-    bad.write_text('{"colors":[1,1,1],"num_colors":1}\n')
+    bad.write_text('{"colors":[1,1,1],"num_colors":1}\n', encoding="utf-8")
     short = tmp_path / "short.json"
-    short.write_text('{"colors":[1],"num_colors":1}\n')
+    short.write_text('{"colors":[1],"num_colors":1}\n', encoding="utf-8")
     assert main(["verify", str(inst_file), str(good)]) == 0
     capsys.readouterr()
     assert main(["verify", str(inst_file), str(bad)]) == 1
@@ -469,13 +470,78 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
             "verify", P3_TEXT, '{"num_colors":2}',
             "malformed coloring document: missing key 'colors'", id="missing_colors",
         ),
+        *(
+            pytest.param(
+                command, text, None, f"malformed instance document: {message}",
+                id=f"{name}_{command}",
+            )
+            for command in ("color", "bound")
+            for name, text, message in (
+                ("top_level_array", "[[0,1]]", "expected an object, got [[0, 1]]"),
+                ("tree_array", '{"tree":[3],"subtrees":[]}', "expected an object, got [3]"),
+                (
+                    "subtrees_object",
+                    '{"tree":{"vertices":2,"edges":[[0,1]]},"subtrees":{"root":0}}',
+                    'expected an array, got {"root": 0}',
+                ),
+                (
+                    "edges_empty_object",
+                    '{"tree":{"vertices":1,"edges":{}},"subtrees":[]}',
+                    "expected an array, got {}",
+                ),
+                (
+                    "edge_triple",
+                    '{"tree":{"vertices":3,"edges":[[0,1,2]]},"subtrees":[]}',
+                    "expected a pair of integers, got [0, 1, 2]",
+                ),
+                (
+                    "edge_int",
+                    '{"tree":{"vertices":2,"edges":[5]},"subtrees":[]}',
+                    "expected a pair of integers, got 5",
+                ),
+                (
+                    "arcs_string",
+                    '{"tree":{"vertices":2,"edges":[[0,1]]},'
+                    '"subtrees":[{"root":0,"arcs":"ab"}]}',
+                    'expected an array, got "ab"',
+                ),
+            )
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":5}',
+            "malformed coloring document: expected an array, got 5", id="colors_int",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[1,1,2],"original_colors":7}',
+            "malformed coloring document: expected an array, got 7",
+            id="original_colors_int",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '"1,1,2"',
+            'malformed coloring document: expected an object, got "1,1,2"',
+            id="coloring_string",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[' + "[" * 500 + "]" * 500 + "]}",
+            "malformed coloring document: expected an integer, got a long JSON array",
+            id="deep_color",
+        ),
+        pytest.param(
+            "color",
+            '{"tree":{"vertices":2,"edges":[[0,1]]},'
+            f'"subtrees":[{{"root":{list(range(2000))},"arcs":[[0,1]]}}]}}',
+            None,
+            "malformed instance document: expected an integer, got a long JSON array",
+            id="long_root",
+        ),
     ],
 )
 def test_document_defect_messages(
     tmp_path, capsys, command, instance_text, coloring_text, message
 ):
     """Each defect of a document has one fixed message naming the document,
-    and exits 2 with nothing on stdout."""
+    one short line however long or deep the offending value is, and exits
+    2 with nothing on stdout."""
     argv = [command, str(tmp_path / "inst.json")]
     (tmp_path / "inst.json").write_text(instance_text, encoding="utf-8")
     if coloring_text is not None:
@@ -483,6 +549,7 @@ def test_document_defect_messages(
         (tmp_path / "col.json").write_text(coloring_text, encoding="utf-8")
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert len(message) < 100
 
 
 # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -560,11 +627,11 @@ def test_mutated_documents_never_raise(command, vertices, count, seed, data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         inst_path = Path(tmp) / "inst.json"
-        inst_path.write_text(inst_text)
+        inst_path.write_text(inst_text, encoding="utf-8")
         argv = [command, str(inst_path)]
         if command == "verify":
             col_path = Path(tmp) / "col.json"
-            col_path.write_text(col_text)
+            col_path.write_text(col_text, encoding="utf-8")
             argv.append(str(col_path))
         elif command == "color":
             argv += ["--root", str(data.draw(st.integers(-1, 7)))]
@@ -639,7 +706,7 @@ def test_bench_csv_byte_stable(tmp_path):
     assert main(argv + ["--csv", str(csv1)]) == 0
     assert main(argv + ["--csv", str(csv2)]) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
-    assert csv1.read_text().count("\n") == 16
+    assert csv1.read_text(encoding="utf-8").count("\n") == 16
 
 
 def test_bench_csv_summary_bytes(tmp_path, capsys):
@@ -687,7 +754,7 @@ def test_bench_fixed_instance(inst_file, tmp_path, capsys):
     assert main(["bench", "--instance", str(inst_file), "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
     assert "summary:" in out
-    rows = csv.read_text().strip().split("\n")
+    rows = csv.read_text(encoding="utf-8").strip().split("\n")
     assert len(rows) == 2
 
 
@@ -697,7 +764,7 @@ def star4_file(tmp_path):
     star = HostTree.of(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     subtrees = tuple(RootedSubtree.of(0, [[0, v]]) for v in range(1, 5))
     path = tmp_path / "star4.json"
-    path.write_text(dumps_instance(Instance(star, subtrees)))
+    path.write_text(dumps_instance(Instance(star, subtrees)), encoding="utf-8")
     return path
 
 
@@ -729,7 +796,7 @@ def test_bench_solver_subset(tmp_path):
         "--solvers", "greedy,bounds", "--csv", str(csv),
     ]
     assert main(argv) == 0
-    header, first = csv.read_text().strip().split("\n")[:2]
+    header, first = csv.read_text(encoding="utf-8").strip().split("\n")[:2]
     cells = dict(zip(header.split(","), first.split(",")))
     assert cells["exact_chromatic"] == ""
     assert cells["baseline_colors"] == ""

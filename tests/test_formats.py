@@ -66,12 +66,21 @@ def test_malformed_instance_rejected():
             '"subtrees":[{"root":0,"arcs":[[0,1]]},{"root":[1],"arcs":[[1,2.5]]}]}',
             "[1]",
         ),
+        (
+            '{"tree":{"vertices":"%s","edges":[]},"subtrees":[]}' % ("x" * 38),
+            '"%s"' % ("x" * 38),
+        ),
+        (
+            '{"tree":{"vertices":"%s","edges":[]},"subtrees":[]}' % ("x" * 39),
+            "a long JSON string",
+        ),
     ],
 )
 def test_first_non_integer_is_reported(text, first_bad):
     """Every value passes the integer rule in document order, edges before
     `vertices` and each root before its arcs, so the first offender is
-    the one named."""
+    the one named, quoted when its JSON takes at most 40 characters and
+    named by its type when longer."""
     with pytest.raises(InputError) as e:
         loads_instance(text)
     assert str(e.value) == (

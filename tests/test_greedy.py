@@ -22,7 +22,6 @@ from oracles import (
     subtrees_on_edge,
 )
 from treewave import (
-    Coloring,
     GenParams,
     HostTree,
     InputError,
@@ -651,10 +650,6 @@ def test_scheme_2_runs_only_where_scheme_1_opens_a_color_at_color_large_size():
         r, s = _check_scheme_2_runs_only_where_scheme_1_opens_a_color(_color_large_padded(i), 0)
         ran, skipped = ran + r, skipped + s
     assert ran > 0 and skipped > 10 * ran
-
-
-def test_result_built_without_rounds_reads_no_choices():
-    assert greedy.GreedyResult(Coloring(), (), ()).scheme_choices == ()
 
 
 # SHA-256 over greedy results (coloring, per-round kind/edge/newly_colored/

@@ -220,7 +220,7 @@ class TestSweepAndBench:
         monkeypatch.setattr(
             harness,
             "greedy_color",
-            lambda inst, root: GreedyResult(all_ones(inst.size), (), ()),
+            lambda inst, root: GreedyResult(all_ones(inst.size), (), (), inst),
         )
         monkeypatch.setattr(
             harness, "first_fit_baseline", lambda inst: all_ones(inst.size)

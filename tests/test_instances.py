@@ -12,6 +12,7 @@ from conftest import make_instance
 from oracles import (
     collide,
     collide_naive,
+    host_arcs,
     labeled_trees,
     load_naive,
     on_arc_naive,
@@ -124,7 +125,7 @@ def _mutate(tree: HostTree, s: RootedSubtree, kind: str, pick) -> RootedSubtree:
         arcs.insert(at, Arc(v, v))
     elif kind == "non_edge":
         a, b = pick(vertices), pick(vertices)
-        if a == b or tree.has_edge(a, b):
+        if a == b or (a, b) in host_arcs(tree):
             b = tree.vertices
         arcs.insert(at, Arc(a, b))
     elif kind == "repeated_edge":

@@ -46,6 +46,7 @@ def test_benchmark_selftest_passes():
         cwd=ROOT,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -56,7 +57,7 @@ def test_package_functions_do_not_recurse():
     interpreter's recursion limit: no function may call its own name."""
     recursive = []
     for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -75,24 +76,33 @@ def test_package_functions_do_not_recurse():
 def test_sources_parse_at_the_declared_python_floor():
     """pyproject.toml declares Python 3.10, so no module may use newer
     syntax such as ``except*``."""
-    floor = re.search(
-        r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text()
-    )
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', pyproject)
     assert floor is not None
     for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
         ast.parse(
-            path.read_text(), filename=str(path), feature_version=(3, int(floor[1]))
+            path.read_text(encoding="utf-8"),
+            filename=str(path),
+            feature_version=(3, int(floor[1])),
         )
 
 
 def test_readme_lists_every_export():
     """README's export paragraph names every entry of `treewave.__all__`,
     backticked, so an added or renamed export cannot drift from it."""
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     start = readme.index("`treewave` exports, by module:")
     paragraph = readme[start : readme.index("\n\n", start)]
     listed = set(re.findall(r"`(\w+)`", paragraph))
     assert sorted(set(treewave.__all__) - listed) == []
+
+
+def test_readme_library_example_runs():
+    """README's one Python block runs as written, so the example cannot
+    drift from the API or from the exact oracle's size guard."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_no_unused_imports():
@@ -102,7 +112,7 @@ def test_no_unused_imports():
     for path in sorted((ROOT / "src" / "treewave").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
