@@ -345,7 +345,7 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
     if g.n > limit:
         raise LimitError(f"exact coloring limited to {limit} vertices, got {g.n}")
     chi, colors, _ = _chromatic_number(g.n, g.masks)
-    return chi, Coloring({i: c for i, c in enumerate(colors)})
+    return chi, Coloring(tuple(colors))
 
 
 def max_clique(g: ConflictGraph, limit: int = ORACLE_GUARD) -> int:
@@ -363,7 +363,7 @@ def first_fit_baseline(inst: Instance) -> Coloring:
     """Naive comparison baseline: first-fit in input order."""
     state = ArcColors(inst)
     state.assign_first_fit(range(inst.size), {})
-    return Coloring(state.psi)
+    return Coloring(tuple(state.psi))
 
 
 @dataclass(frozen=True)

@@ -102,18 +102,18 @@ def classify_edge(order: EdgeOrder, i: int) -> int:
 class ArcColors:
     """Partial coloring kept per arc, the greedy's whole state.
 
-    `psi` maps colored subtrees to colors and `arc_colors` each arc
-    position (`HostTree.arc_position`) to the mask of the colors on that
-    arc (bit c set iff color c is on the arc; bit 0 is never used), and
-    nothing else: no per-color counts.  The coloring stays valid, so a
-    color sits on an arc for at most one subtree and `unassign` may simply
-    clear its bit.
+    `psi` holds each subtree's color, 0 while it is uncolored, and
+    `arc_colors` each arc position (`HostTree.arc_position`) the mask of
+    the colors on that arc (bit c set iff color c is on the arc; bit 0 is
+    never used), and nothing else: no per-color counts.  The coloring
+    stays valid, so a color sits on an arc for at most one subtree and
+    `unassign` may simply clear its bit.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
         self.positions = inst.arc_positions
-        self.psi: dict[int, int] = {}
+        self.psi: list[int] = [0] * inst.size
         self.arc_colors: list[int] = [0] * len(inst.arc_members)
 
     def colors_on(self, i: int) -> int:
@@ -136,7 +136,8 @@ class ArcColors:
         arc_colors = self.arc_colors
         positions = self.positions
         for i in subtrees:
-            bit = 1 << psi.pop(i)
+            bit = 1 << psi[i]
+            psi[i] = 0
             for p in positions[i]:
                 arc_colors[p] ^= bit
 
@@ -145,16 +146,15 @@ class ArcColors:
 
         A subtree q with an entry s in `partner` takes, together with s,
         the smallest positive color on no arc of either (the two share no
-        arc), set as `psi[q]` and then `psi[s]`; any other q takes the
-        smallest positive color on no arc of its own.  Subtrees that
-        already have a color, such as a partner colored with its pair,
-        are skipped.
+        arc); any other q takes the smallest positive color on no arc of
+        its own.  Subtrees whose `psi` is already nonzero, such as a
+        partner colored with its pair, are skipped.
         """
         psi = self.psi
         arc_colors = self.arc_colors
         positions = self.positions
         for q in queue:
-            if q in psi:
+            if psi[q]:
                 continue
             s = partner.get(q)
             ps = positions[q] if s is None else positions[q] + positions[s]
@@ -194,15 +194,15 @@ def _reuse_graph(
     psi = state.psi
     left_colors = 0
     for i in left:
-        if i in psi:
-            left_colors |= 1 << psi[i]
+        left_colors |= 1 << psi[i]
+    left_colors &= ~1  # bit 0: uncolored
     colored_at: dict[int, int] = {}
     near: dict[int, int] = {}
     right_colors = uncolored = 0
     for rp, j in enumerate(right):
         bit = 1 << rp
-        c = psi.get(j)
-        if c is not None:
+        c = psi[j]
+        if c:
             colored_at[c] = bit
             right_colors |= 1 << c
             continue
@@ -214,8 +214,8 @@ def _reuse_graph(
             near[c] = near.get(c, 0) | bit
     rows = []
     for i, row in zip(left, _complement_rows(state.inst, left, right)):
-        c = psi.get(i)
-        if c is not None:
+        c = psi[i]
+        if c:
             row &= colored_at.get(c, 0) | (uncolored & ~near.get(c, 0))
         else:
             m = state.colors_on(i) & right_colors
@@ -235,8 +235,8 @@ def _color_matched(
     matched queued subtrees take one shared minimal feasible color;
     unmatched ones go first-fit.  Ascending index order throughout.
     Each subtree of `bip` is colored or queued, and a queued partner
-    stays uncolored through the inherit pass, so `s in psi` there picks
-    out the partners colored before the round.
+    stays uncolored through the inherit pass, so a nonzero `psi[s]` there
+    picks out the partners colored before the round.
     """
     partner: dict[int, int] = {}
     for lp, rp in max_bipartite_matching(bip).pairs:
@@ -246,7 +246,7 @@ def _color_matched(
     psi = state.psi
     for q in queue:
         s = partner.get(q)
-        if s is not None and s in psi:
+        if s is not None and psi[s]:
             state.assign(q, psi[s])
     state.assign_first_fit(queue, partner)
 
@@ -284,8 +284,8 @@ def process_edge_2(
     uv_fwd, uv_bwd = edge_sides(state.inst, u, v)
     on_uv = set(uv_fwd + uv_bwd)
     fwd, bwd = edge_sides(state.inst, u, x)
-    left = [i for i in fwd if (i in psi and i not in on_uv) or i in qset]
-    right = [i for i in bwd if (i in psi and i not in on_uv) or i in qset]
+    left = [i for i in fwd if (psi[i] and i not in on_uv) or i in qset]
+    right = [i for i in bwd if (psi[i] and i not in on_uv) or i in qset]
     on_ux = sorted(i for i in left + right if i in qset)
     if on_ux:
         _color_matched(state, on_ux, _reuse_graph(state, left, right))
@@ -381,7 +381,7 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
     for i, (u, v) in enumerate(order.edges, 1):
         kind = classify_edge(order, i)
         fwd, bwd = edge_sides(inst, u, v)
-        queue = tuple(j for j in sorted(fwd + bwd) if j not in psi)
+        queue = tuple(j for j in sorted(fwd + bwd) if not psi[j])
         if kind == 4:
             process_edge_1(state, queue, (u, v))
             scheme1 = [psi[q] for q in queue]
@@ -399,4 +399,4 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
             process_edge_simple(state, queue)
         used = max([used, *[psi[q] for q in queue]])
         trace.append(RoundState(i, (u, v), queue, used, kind))
-    return GreedyResult(Coloring(psi), tuple(trace), tuple(contested), inst)
+    return GreedyResult(Coloring(tuple(psi)), tuple(trace), tuple(contested), inst)

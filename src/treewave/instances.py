@@ -97,13 +97,21 @@ class ValidationReport:
 
 
 def validate_tree(tree: HostTree) -> ValidationReport:
-    """Check the host-tree invariants; violations are data, not failures."""
-    violations: list[str] = []
+    """Check the host-tree invariants; violations are data, not failures.
+    A vertex count or edge endpoint must be exactly an `int` (not a
+    `bool`, nor a float equal to an integer)."""
     n = tree.vertices
+    if type(n) is not int:
+        violation = f"vertex count {n!r} is not an integer"
+        return ValidationReport(ok=False, violations=(violation,))
+    violations: list[str] = []
     if n < 0:
         violations.append("vertex count is negative")
     seen: set[tuple[int, int]] = set()
     for u, v in tree.edges:
+        if type(u) is not int or type(v) is not int:
+            violations.append(f"edge ({u!r},{v!r}) has a non-integer endpoint")
+            continue
         if not (0 <= u < n and 0 <= v < n):
             violations.append(f"edge ({u},{v}) has endpoint out of range")
             continue
@@ -150,6 +158,8 @@ def _walk_subtree(
     """One pass over a subtree's arcs: its violations, in `validate_subtree`'s
     order, and the positions (`HostTree.arc_position`) of its arcs.
 
+    A root or arc endpoint must be exactly an `int`: a `bool` or a float
+    equal to a vertex id would find its arc's position all the same.
     The positions are meaningful only when there are no violations.  A
     host edge's two arcs sit at 2k and 2k+1, so ``p >> 1`` names the
     skeleton edge of an arc in the tree; an arc outside it is keyed by its
@@ -164,6 +174,9 @@ def _walk_subtree(
     row: list[int] = []
     for a in arcs:
         t, h = a
+        if type(t) is not int or type(h) is not int:
+            violations.append(f"arc ({t!r},{h!r}) has a non-integer endpoint")
+            continue
         if t == h:
             violations.append(f"arc ({t},{h}) is a self-loop")
             continue
@@ -181,9 +194,11 @@ def _walk_subtree(
         indeg.setdefault(t, 0)
     if violations:
         return violations, ()
+    root = s.root
+    if type(root) is not int:
+        return [f"root {root!r} is not an integer"], ()
     # every arc endpoint is a key of indeg, so the vertices are its keys
     # plus the root
-    root = s.root
     if root not in indeg:
         violations.append(f"root {root} not touched by any arc")
     if indeg.get(root, 0) != 0:
@@ -309,19 +324,16 @@ def edge_sides(
 
 @dataclass(frozen=True)
 class Coloring:
-    """Map from subtree index to a positive color; partial during a run."""
+    """A positive color per subtree, in subtree order."""
 
-    assignment: Mapping[int, int]
+    assignment: tuple[int, ...]
 
     @property
     def colors_used(self) -> int:
-        return len(set(self.assignment.values()))
-
-    def is_total(self, n: int) -> bool:
-        return all(map(self.assignment.__contains__, range(n)))
+        return len(set(self.assignment))
 
     def color_list(self, n: int) -> list[int]:
-        """Colors in subtree order; raises on a partial coloring."""
-        if not self.is_total(n):
-            raise InputError("coloring is partial; expected a color per subtree")
-        return [self.assignment[i] for i in range(n)]
+        """Colors in subtree order; raises unless there is one per subtree."""
+        if len(self.assignment) != n:
+            raise InputError(f"coloring has {len(self.assignment)} entries for {n} subtrees")
+        return list(self.assignment)

@@ -326,7 +326,7 @@ def reuse_graph_reference(state, edge, members) -> BipartiteGraph:
     kept = []
     for lp, rp in edges_of(base):
         i, j = base.left[lp], base.right[rp]
-        ci, cj = psi.get(i), psi.get(j)
+        ci, cj = psi[i] or None, psi[j] or None
         if ci is not None and cj is not None:
             if ci != cj:
                 continue

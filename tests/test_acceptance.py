@@ -163,9 +163,7 @@ def test_criterion_2_validity_at_scale():
         result = greedy_color(norm.padded)
         if not verify_coloring(norm.padded, result.coloring).ok:
             violations.append(f"instance {idx}: greedy padded coloring invalid")
-        original = Coloring(
-            {i: result.coloring.assignment[i] for i in range(norm.original_count)}
-        )
+        original = Coloring(result.coloring.assignment[: norm.original_count])
         if not verify_coloring(inst, original).ok:
             violations.append(f"instance {idx}: greedy original slice invalid")
         if not verify_coloring(inst, first_fit_baseline(inst)).ok:

@@ -295,7 +295,7 @@ class TestGlobalLowerBound:
 class TestExactChromatic:
     def test_empty_graph(self):
         chi, witness = exact_chromatic(ConflictGraph(()))
-        assert chi == 0 and witness.assignment == {}
+        assert chi == 0 and witness.assignment == ()
         for floor in range(3):  # first-fit has no classes: the floor exit
             assert _chromatic_number(0, (), floor) == (0, [], 0)
 
@@ -340,7 +340,7 @@ class TestExactChromatic:
         if inst.size:
             assert verify_coloring(inst, witness).ok
             assert witness.colors_used == chi
-            assert set(witness.assignment.values()) == set(range(1, chi + 1))
+            assert set(witness.assignment) == set(range(1, chi + 1))
 
 
 class TestMaxClique:

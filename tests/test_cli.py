@@ -347,6 +347,37 @@ def test_verify_exit_codes(inst_file, tmp_path, capsys):
     assert main(["verify", str(inst_file), str(short)]) == 2
 
 
+@pytest.mark.parametrize("colors", [[1, 1], [1, 1, 2, 1]])
+def test_verify_wrong_length_message(inst_file, tmp_path, capsys, colors):
+    """A coloring one color short or one too long for the three subtrees
+    exits 2 with the length in one stderr line and nothing on stdout."""
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"colors": colors, "num_colors": 2}), encoding="utf-8")
+    assert main(["verify", str(inst_file), str(col)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: coloring has {len(colors)} entries for 3 subtrees\n"
+
+
+def test_duplicate_keys_last_wins(tmp_path, capsys):
+    """A repeated key takes its last value, as Python's `json` reads it:
+    `color` on a document naming two host trees colors the second, with
+    the same stdout bytes as the document that names only that one."""
+    first = '{"vertices":4,"edges":[[0,1],[1,2],[2,3]]}'
+    last = '{"vertices":3,"edges":[[0,1],[1,2]]}'
+    subtrees = '[{"root":0,"arcs":[[0,1],[1,2]]},{"root":2,"arcs":[[2,1]]}]'
+    outputs = []
+    for text in (
+        f'{{"tree":{first},"tree":{last},"subtrees":{subtrees}}}',
+        f'{{"tree":{last},"subtrees":{subtrees}}}',
+    ):
+        path = tmp_path / "inst.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["color", str(path)]) == 0
+        outputs.append(capsys.readouterr().out.encode("utf-8"))
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_accepts_padded_document(inst_file, tmp_path):
     col = tmp_path / "col.json"
     assert main(["color", str(inst_file), "-o", str(col)]) == 0

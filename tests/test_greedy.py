@@ -161,6 +161,11 @@ class TestClassifyEdge:
                 bfs_edge_order(star, root)
 
 
+def _colored(psi) -> dict[int, int]:
+    """The colored subtrees of a color-per-subtree sequence (0: uncolored)."""
+    return {i: c for i, c in enumerate(psi) if c}
+
+
 def _state(inst, psi=()) -> ArcColors:
     state = ArcColors(inst)
     for i, c in dict(psi).items():
@@ -197,11 +202,11 @@ class TestFirstFit:
             c = rng.randint(1, 5)
             if rng.random() < 0.7 and not any(
                 cj == c and collide_naive(inst.subtrees[i], inst.subtrees[j])
-                for j, cj in state.psi.items()
+                for j, cj in _colored(state.psi).items()
             ):
                 state.assign(i, c)
-        state.unassign([i for i in state.psi if rng.random() < 0.3])
-        psi = dict(state.psi)
+        state.unassign([i for i in _colored(state.psi) if rng.random() < 0.3])
+        psi = _colored(state.psi)
         assert _state_consistent(state)
         uncolored = [i for i in range(inst.size) if i not in psi]
         for i in uncolored:
@@ -224,7 +229,7 @@ class TestFirstFit:
             c = rng.randint(1, 6)
             if not base.colors_on(i) >> c & 1:
                 base.assign(i, c)
-        psi = dict(base.psi)
+        psi = _colored(base.psi)
         uncolored = [i for i in range(inst.size) if i not in psi]
         start = rng.randint(0, len(uncolored))
         queue = uncolored[start:] if rng.random() < 0.5 else [
@@ -236,8 +241,7 @@ class TestFirstFit:
                 expected[q] = first_fit_naive(inst, expected, q)
         batched = _state(inst, psi)
         batched.assign_first_fit(queue, {})
-        assert batched.psi == expected
-        assert list(batched.psi) == list(expected)
+        assert _colored(batched.psi) == expected
         assert _state_consistent(batched)
 
     def test_batched_first_fit_on_a_run_of_duplicates(self, p3_tree):
@@ -245,7 +249,7 @@ class TestFirstFit:
         inst = Instance(p3_tree, (dup,) * 5 + (RootedSubtree.of(1, [[1, 2]]),))
         state = _state(inst, {0: 2, 5: 1})
         state.assign_first_fit([1, 2, 3, 4], {})
-        assert state.psi == {0: 2, 5: 1, 1: 1, 2: 3, 3: 4, 4: 5}
+        assert state.psi == [2, 1, 3, 4, 5, 1]
         assert _state_consistent(state)
 
 
@@ -253,25 +257,25 @@ class TestProcessEdgeSimple:
     def test_empty_queue_no_change(self, p3_demo):
         state = _state(p3_demo, {0: 1})
         process_edge_simple(state, ())
-        assert state.psi == {0: 1}
+        assert state.psi == [1, 0, 0]
 
     def test_p3_demo_round1(self, p3_demo):
         state = _state(p3_demo)
         process_edge_simple(state, (0, 1, 2))
-        assert state.psi == {0: 1, 1: 1, 2: 2}
+        assert state.psi == [1, 1, 2]
 
     def test_two_colliding_uncolored(self, p3_tree):
         dup = RootedSubtree.of(0, [[0, 1]])
         state = _state(Instance(p3_tree, (dup, dup)))
         process_edge_simple(state, (0, 1))
-        assert state.psi == {0: 1, 1: 2}
+        assert state.psi == [1, 2]
 
 
 class TestProcessEdge1:
     def test_empty_queue_identity(self, p3_demo):
         state = _state(p3_demo, {0: 1, 1: 1, 2: 2})
         process_edge_1(state, (), (0, 1))
-        assert state.psi == {0: 1, 1: 1, 2: 2}
+        assert state.psi == [1, 1, 2]
 
     def test_single_inherit_via_matching(self, p3_tree):
         inst = Instance(
@@ -296,7 +300,7 @@ class TestProcessEdge2:
         process_edge_2(state_a, (0, 1), 0, 2, 3)
         state_b = _state(inst)
         process_edge_simple(state_b, (0, 1))
-        assert state_a.psi == state_b.psi == {0: 1, 1: 2}
+        assert state_a.psi == state_b.psi == [1, 2]
 
     def test_no_queue_on_fork_edge_builds_no_graph(self, star_tree, monkeypatch):
         """Subtrees colored on {u,x} alone make the reuse graph non-empty, but
@@ -317,7 +321,7 @@ class TestProcessEdge2:
         monkeypatch.setattr(greedy, "_reuse_graph", unexpected)
         state = _state(inst, {1: 1, 2: 2})
         process_edge_2(state, (0,), 0, 2, 3)
-        assert state.psi == {0: 1, 1: 1, 2: 2}
+        assert state.psi == [1, 1, 2]
 
     def test_queue_pairs_on_fork_edge_share_colors(self, star_tree):
         inst = Instance(
@@ -329,7 +333,7 @@ class TestProcessEdge2:
         )
         state = _state(inst)
         process_edge_2(state, (0, 1), 0, 2, 3)
-        assert state.psi == {0: 1, 1: 1}
+        assert state.psi == [1, 1]
 
 
 def _partial_valid(inst, psi) -> bool:
@@ -340,8 +344,8 @@ def _partial_valid(inst, psi) -> bool:
     return True
 
 
-def _contiguous(psi) -> bool:
-    used = set(psi.values())
+def _contiguous(colors) -> bool:
+    used = set(colors)
     return used == set(range(1, len(used) + 1))
 
 
@@ -349,7 +353,7 @@ def _state_consistent(state) -> bool:
     """Per-arc color masks agree with the assignment."""
     inst, psi = state.inst, state.psi
     for p, on_arc in enumerate(inst.arc_members):
-        if state.arc_colors[p] != sum({1 << psi[i] for i in on_arc if i in psi}):
+        if state.arc_colors[p] != sum({1 << psi[i] for i in on_arc if psi[i]}):
             return False
     return True
 
@@ -366,9 +370,9 @@ def _sides(inst, edge, members) -> tuple[list[int], list[int]]:
 
 def _replay_with_subroutine_checks(
     inst, check_partial: bool = True
-) -> tuple[dict[int, int], int]:
+) -> tuple[list[int], int]:
     """Mirror the round loop, checking subroutine invariants at every
-    fork round; returns the final assignment and the fork-round count.
+    fork round; returns the final colors and the fork-round count.
     `check_partial=False` skips the quadratic pairwise validity scans."""
     order = bfs_edge_order(inst.tree, 0)
     state = ArcColors(inst)
@@ -376,14 +380,14 @@ def _replay_with_subroutine_checks(
     for i in range(1, len(order.edges) + 1):
         u, v = order.edges[i - 1]
         kind = classify_edge(order, i)
-        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if j not in state.psi)
+        queue = tuple(j for j in subtrees_on_edge(inst, (u, v)) if not state.psi[j])
         if kind != 4:
             process_edge_simple(state, queue)
-            assert not check_partial or _partial_valid(inst, state.psi)
+            assert not check_partial or _partial_valid(inst, _colored(state.psi))
             assert _state_consistent(state)
             continue
         forks += 1
-        before = dict(state.psi)
+        before = _colored(state.psi)
         colored = frozenset(before)
         qset = set(queue)
 
@@ -395,7 +399,7 @@ def _replay_with_subroutine_checks(
         assert bip1 == reuse_graph_reference(state, (u, v), members1)
         m1 = max_bipartite_matching(bip1)
         process_edge_1(state, queue, (u, v))
-        psi1 = dict(state.psi)
+        psi1 = _colored(state.psi)
         assert not check_partial or _partial_valid(inst, psi1)
         assert set(queue) <= set(psi1)
         v1_colors = {psi1[k] for k in members1}
@@ -405,7 +409,7 @@ def _replay_with_subroutine_checks(
         assert _state_consistent(state)
         c1 = len(set(psi1.values()))
         state.unassign(queue)
-        assert state.psi == before and _state_consistent(state)
+        assert _colored(state.psi) == before and _state_consistent(state)
 
         # scheme 2 invariants
         x = order.edges[i][1]
@@ -422,7 +426,7 @@ def _replay_with_subroutine_checks(
         assert bip2 == reuse_graph_reference(state, (u, x), members2)
         m2 = max_bipartite_matching(bip2)
         process_edge_2(state, queue, u, v, x)
-        psi2 = dict(state.psi)
+        psi2 = _colored(state.psi)
         assert not check_partial or _partial_valid(inst, psi2)
         assert set(queue) <= set(psi2)
         if members2:
@@ -434,7 +438,7 @@ def _replay_with_subroutine_checks(
         c2 = len(set(psi2.values()))
 
         state = _state(inst, psi1 if c1 <= c2 else psi2)
-        assert _contiguous(state.psi)
+        assert _contiguous(_colored(state.psi).values())
     return state.psi, forks
 
 
@@ -465,8 +469,8 @@ class TestGreedyColor:
     def test_valid_contiguous_and_bounded_below(self, seed):
         inst = make_instance(seed)
         res = greedy_color(inst)
-        psi = dict(res.coloring.assignment)
-        assert res.coloring.is_total(inst.size)
+        psi = res.coloring.assignment
+        assert len(psi) == inst.size and all(c >= 1 for c in psi)
         assert coloring_valid_naive(inst, psi)
         assert _contiguous(psi)
         assert res.coloring.colors_used >= load(inst)
@@ -525,7 +529,7 @@ def test_subroutine_invariants_on_fork_rounds():
         psi, forks = _replay_with_subroutine_checks(inst)
         forks_seen += forks
         res = greedy_color(inst)
-        assert dict(res.coloring.assignment) == psi
+        assert list(res.coloring.assignment) == psi
     assert forks_seen >= 60
 
 
@@ -538,7 +542,7 @@ def test_reuse_graph_matches_reference_on_normalized_forks():
         padded = normalize(make_instance(seed, max_vertices=14, max_subtrees=16)).padded
         psi, forks = _replay_with_subroutine_checks(padded)
         forks_seen += forks
-        assert dict(greedy_color(padded).coloring.assignment) == psi
+        assert list(greedy_color(padded).coloring.assignment) == psi
     assert forks_seen >= 60
 
 
@@ -556,7 +560,7 @@ def test_reuse_graph_matches_reference_at_color_large_size():
         padded = _color_large_padded(i)
         psi, forks = _replay_with_subroutine_checks(padded, check_partial=False)
         forks_seen += forks
-        assert dict(greedy_color(padded).coloring.assignment) == psi
+        assert list(greedy_color(padded).coloring.assignment) == psi
     assert forks_seen >= 200
 
 
@@ -564,7 +568,7 @@ def test_normalized_star_demo_matches_replay(star_demo):
     padded = normalize(star_demo).padded
     psi, forks = _replay_with_subroutine_checks(padded)
     assert forks == 1
-    assert dict(greedy_color(padded).coloring.assignment) == psi
+    assert list(greedy_color(padded).coloring.assignment) == psi
 
 
 def _outputs(inst, root):
@@ -579,7 +583,7 @@ def _outputs(inst, root):
         (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
         for c in res.scheme_choices
     ]
-    return dict(res.coloring.assignment), rounds, choices
+    return dict(enumerate(res.coloring.assignment)), rounds, choices
 
 
 @settings(max_examples=150, deadline=None)
@@ -625,7 +629,7 @@ def _check_scheme_2_runs_only_where_scheme_1_opens_a_color(inst, root):
     first = res.scheme_choices
     assert res.scheme_choices is first
     assert (res.coloring, res.trace) == (unread.coloring, unread.trace)
-    assert dict(res.coloring.assignment) == psi
+    assert dict(enumerate(res.coloring.assignment)) == psi
     assert [(c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2) for c in first] == choices
     assert unread.scheme_choices == first
     return len(opened), len(choices) - len(opened)

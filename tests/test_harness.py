@@ -16,6 +16,7 @@ from treewave import (
     bench_run,
     build_conflict_graph,
     exact_chromatic,
+    first_fit_baseline,
     generate_instance,
     greedy_color,
     load,
@@ -121,29 +122,54 @@ class TestGenerateInstance:
 
 class TestVerifyColoring:
     def test_p3_demo_valid(self, p3_demo):
-        rep = verify_coloring(p3_demo, Coloring({0: 1, 1: 1, 2: 2}))
+        rep = verify_coloring(p3_demo, Coloring((1, 1, 2)))
         assert rep.ok
 
     def test_p3_demo_conflict(self, p3_demo):
-        rep = verify_coloring(p3_demo, Coloring({0: 1, 1: 1, 2: 1}))
+        rep = verify_coloring(p3_demo, Coloring((1, 1, 1)))
         assert not rep.ok
         assert rep.violations == ((Arc(0, 1), (0, 2)),)
 
     def test_violations_in_sorted_arc_order(self, p3_reversed):
         """Violations come in sorted arc order, not the host tree's edge
         order, which would put (2,1) first."""
-        rep = verify_coloring(p3_reversed, Coloring({0: 1, 1: 1, 2: 1}))
+        rep = verify_coloring(p3_reversed, Coloring((1, 1, 1)))
         assert rep.violations == ((Arc(1, 0), (0, 1)), (Arc(2, 1), (0, 1)))
 
     def test_empty_ok(self, p3_tree):
         from treewave import Instance
 
-        rep = verify_coloring(Instance(p3_tree, ()), Coloring({}))
+        rep = verify_coloring(Instance(p3_tree, ()), Coloring(()))
         assert rep.ok
 
     def test_partial_rejected(self, p3_demo):
         with pytest.raises(InputError):
-            verify_coloring(p3_demo, Coloring({0: 1}))
+            verify_coloring(p3_demo, Coloring((1,)))
+
+    @pytest.mark.parametrize("colors", [(1, 1), (1, 1, 2, 1)])
+    def test_wrong_length_rejected(self, p3_demo, colors):
+        """One color per subtree, no more and no fewer: the length is the
+        check, whatever the colors are."""
+        message = rf"^coloring has {len(colors)} entries for 3 subtrees$"
+        with pytest.raises(InputError, match=message):
+            Coloring(colors).color_list(p3_demo.size)
+        with pytest.raises(InputError, match=message):
+            verify_coloring(p3_demo, Coloring(colors))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_solvers_return_a_positive_color_per_subtree(self, seed):
+        from conftest import make_instance
+
+        inst = make_instance(seed, max_vertices=7, max_subtrees=9)
+        colorings = (
+            greedy_color(inst).coloring,
+            first_fit_baseline(inst),
+            exact_chromatic(build_conflict_graph(inst))[1],
+        )
+        for c in colorings:
+            assert type(c.assignment) is tuple and len(c.assignment) == inst.size
+            assert all(type(k) is int and k >= 1 for k in c.assignment)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -152,15 +178,15 @@ class TestVerifyColoring:
 
         inst = make_instance(seed, max_vertices=6, max_subtrees=6)
         res = greedy_color(inst)
-        psi = dict(res.coloring.assignment)
+        psi = res.coloring.assignment
         assert verify_coloring(inst, res.coloring).ok == coloring_valid_naive(inst, psi)
         if inst.size >= 2:
             # corrupt: force two arc-sharing subtrees onto one color
             for indices in inst.arc_members:
                 if len(indices) >= 2:
-                    bad = dict(psi)
+                    bad = list(psi)
                     bad[indices[1]] = bad[indices[0]]
-                    got = verify_coloring(inst, Coloring(bad)).ok
+                    got = verify_coloring(inst, Coloring(tuple(bad))).ok
                     assert got == coloring_valid_naive(inst, bad)
                     assert not got
                     break
@@ -215,7 +241,7 @@ class TestSweepAndBench:
 
     def test_invalid_colorings_reported(self, monkeypatch, p3_tree):
         def all_ones(n):
-            return Coloring(dict.fromkeys(range(n), 1))
+            return Coloring((1,) * n)
 
         monkeypatch.setattr(
             harness,

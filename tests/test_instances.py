@@ -61,6 +61,18 @@ class TestValidateTree:
         rep = validate_tree(HostTree.of(4, [[0, 1], [1, 2], [0, 2]]))
         assert not rep.ok
 
+    def test_non_integer_vertex_count_and_endpoints(self):
+        """A float or bool where an integer belongs is a violation, not a
+        `TypeError` from building the adjacency."""
+        cases = (
+            (HostTree(2.0, ((0, 1),)), "vertex count 2.0 is not an integer"),
+            (HostTree(True, ()), "vertex count True is not an integer"),
+            (HostTree(2, ((0.0, 1),)), "edge (0.0,1) has a non-integer endpoint"),
+            (HostTree(2, ((0, True),)), "edge (0,True) has a non-integer endpoint"),
+        )
+        for tree, message in cases:
+            assert validate_tree(tree).violations == (message,)
+
     def test_degree_flag_separate(self):
         star5 = HostTree.of(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
         assert validate_tree(star5).ok and not star5.degree_ok
@@ -96,6 +108,42 @@ class TestValidateSubtree:
     def test_both_directions_of_one_edge(self, p3_tree):
         rep = validate_subtree(p3_tree, RootedSubtree.of(0, [[0, 1], [1, 0]]))
         assert not rep.ok
+
+    def test_non_integer_root_and_arc_endpoints(self, p3_tree):
+        """A bool or float equal to a vertex id is refused, although its arc
+        would hash to the same host arc position."""
+        cases = (
+            (RootedSubtree(0, (Arc(0, 1.0),)), "arc (0,1.0) has a non-integer endpoint"),
+            (RootedSubtree(1, (Arc(True, 0),)), "arc (True,0) has a non-integer endpoint"),
+            (RootedSubtree(0.0, (Arc(0, 1),)), "root 0.0 is not an integer"),
+            (RootedSubtree(True, (Arc(1, 0),)), "root True is not an integer"),
+        )
+        for s, message in cases:
+            assert validate_subtree(p3_tree, s).violations == (message,)
+
+
+def test_non_integer_ids_rejected_by_instance():
+    """Each of these once built an instance or raised a bare `TypeError`:
+    the first was accepted, and `dumps_instance` wrote a document that
+    `loads_instance` refuses."""
+    path = HostTree(2, ((0, 1),))
+    cases = (
+        (
+            lambda: Instance(path, (RootedSubtree(True, (Arc(True, 0.0),)),)),
+            r"^invalid subtree 0: arc \(True,0\.0\) has a non-integer endpoint$",
+        ),
+        (
+            lambda: Instance(HostTree(2.0, ((0, 1),)), ()),
+            r"^invalid host tree: vertex count 2\.0 is not an integer$",
+        ),
+        (
+            lambda: Instance(HostTree(2, ((0.0, 1),)), ()),
+            r"^invalid host tree: edge \(0\.0,1\) has a non-integer endpoint$",
+        ),
+    )
+    for build, message in cases:
+        with pytest.raises(InputError, match=message):
+            build()
 
 
 MUTATIONS = (
@@ -169,8 +217,9 @@ def test_validate_subtree_matches_reference(seed, data):
 
 
 def test_subtree_mutations_reach_every_violation():
-    """The mutations above produce every message the validator has, so
-    the equality test compares each of them."""
+    """The mutations above produce every message the validator has for
+    integer ids, so the equality test compares each of them; the
+    non-integer messages are pinned in `TestValidateSubtree`."""
     patterns = {
         r"^subtree has no arcs": 0,
         r"^arc .* is a self-loop$": 0,
