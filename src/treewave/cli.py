@@ -87,7 +87,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     else:
         norm = normalize(inst)
         target, original_count = norm.padded, norm.original_count
-    result = greedy_color(target, args.root)
+    result = greedy_color(target, args.root, all_choices=args.trace)
     rep = verify_coloring(target, result.coloring)
     doc = dumps_coloring(result.coloring.color_list(target.size), original_count)
     if args.trace:

@@ -9,25 +9,22 @@ above 3, for which there is no kind.  Types 1-3 color first-fit.  Type 4
 (a degree-3 fork {u,v} with one processed sibling edge) runs two
 competing schemes that pair up color-shareable subtrees via a maximum
 matching in a complement conflict graph, and commits whichever ends the
-round with fewer distinct colors in use.  The round loop and the
-`scheme_choices` replay both read x of the pending sibling {u,x} as the
-next round's far end.
+round with fewer distinct colors in use; the round loop reads x of the
+pending sibling {u,x} as the next round's far end.
 
 Two subtrees conflict exactly when they share an arc, so the state is
 one color bitmask per arc position (`ArcColors`) and no conflict graph
 is built.  Scheme 2 ends at no fewer than the colors already in use and
-loses ties, so a fork round runs it only when scheme 1 opens a color; its
-counts for the other fork rounds are replayed from the trace, on the
-instance every `GreedyResult` carries, when `GreedyResult.scheme_choices`
-is first read.  The instance was validated when it was built; nothing
-here checks it again.
+loses ties, so by default a fork round runs it only when scheme 1 opens
+a color, and only those rounds' choices are recorded; `all_choices`
+runs and records it in every fork round.  The instance was validated
+when it was built; nothing here checks it again.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .conflict import BipartiteGraph, _complement_rows
@@ -273,11 +270,7 @@ def process_edge_2(
     Builds the reuse graph on the {u,x} population, restricted to queued
     subtrees present there plus subtrees colored on {u,x} but not on
     {u,v}.  Queued subtrees on {u,x} are colored from that matching
-    first; every other queued subtree then goes first-fit.  When no queued
-    subtree is on {u,x} the matching would color nothing, so neither the
-    graph nor the matching is built.  On seed-1 `color-large` that holds
-    in 643 of 2,369 fork rounds, 1 of them outside the `scheme_choices`
-    replay.
+    first; every other queued subtree then goes first-fit.
     """
     psi = state.psi
     qset = set(queue)
@@ -287,8 +280,7 @@ def process_edge_2(
     left = [i for i in fwd if (psi[i] and i not in on_uv) or i in qset]
     right = [i for i in bwd if (psi[i] and i not in on_uv) or i in qset]
     on_ux = sorted(i for i in left + right if i in qset)
-    if on_ux:
-        _color_matched(state, on_ux, _reuse_graph(state, left, right))
+    _color_matched(state, on_ux, _reuse_graph(state, left, right))
     state.assign_first_fit(queue, {})
 
 
@@ -316,64 +308,36 @@ class SchemeChoice:
 
 @dataclass(frozen=True)
 class GreedyResult:
-    """The coloring, one `RoundState` per round and one `SchemeChoice` per
-    fork round.
+    """The coloring, one `RoundState` per round and, in round order, a
+    `SchemeChoice` per fork round that ran both schemes.
 
-    `contested` holds the choices of the fork rounds where scheme 1
-    opened a color, so both schemes ran.  In every other fork round
-    scheme 1 ended at the colors already in use, which scheme 2 cannot
-    beat, so it was committed without running scheme 2.
-    `scheme_choices` fills in those rounds' scheme 2 counts on first
-    read, by replaying `trace` on the run's `instance`.
+    By default a fork round runs scheme 2 only when scheme 1 opened a
+    color; in every other fork round scheme 1 ended at the colors already
+    in use, which scheme 2 cannot beat, so `scheme_choices` holds only the
+    contested rounds.  `greedy_color(..., all_choices=True)` runs scheme 2
+    in every fork round and holds every fork round's choice, with the
+    same coloring and trace.
     """
 
     coloring: Coloring
     trace: tuple[RoundState, ...]
-    contested: tuple[SchemeChoice, ...]
-    instance: Instance
-
-    @cached_property
-    def scheme_choices(self) -> tuple[SchemeChoice, ...]:
-        """Every fork round's choice, in round order.
-
-        A color never changes after its round, so before round r the
-        state is the subtrees colored in earlier rounds with their final
-        colors.  The replay rebuilds it round by round and runs scheme 2
-        on each fork round missing from `contested`, whose x is the far
-        end of the next round's edge (`bfs_edge_order`).
-        """
-        contested = {ch.round: ch for ch in self.contested}
-        final = self.coloring.assignment
-        state = ArcColors(self.instance)
-        choices: list[SchemeChoice] = []
-        used = 0
-        for rs in self.trace:
-            queue = rs.newly_colored
-            if rs.kind == 4:
-                choice = contested.get(rs.round)
-                if choice is None:
-                    process_edge_2(state, queue, *rs.edge, self.trace[rs.round].edge[1])
-                    c2 = max([used, *[state.psi[q] for q in queue]])
-                    state.unassign(queue)
-                    choice = SchemeChoice(rs.round, rs.edge, 1, used, c2)
-                choices.append(choice)
-            for q in queue:
-                state.assign(q, final[q])
-            used = rs.colors_used_after
-        return tuple(choices)
+    scheme_choices: tuple[SchemeChoice, ...]
 
 
-def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
+def greedy_color(
+    inst: Instance, root: int = 0, *, all_choices: bool = False
+) -> GreedyResult:
     """Run the full round-based colorer from the given BFS root.
 
     Requires host tree degree <= 3, which `bfs_edge_order` checks.
     Deterministic: identical instance and root always produce an
-    identical result.
+    identical result.  `all_choices` records every fork round's choice
+    (`GreedyResult`) at the cost of running scheme 2 in each.
     """
     order = bfs_edge_order(inst.tree, root)
     state = ArcColors(inst)
     trace: list[RoundState] = []
-    contested: list[SchemeChoice] = []
+    choices: list[SchemeChoice] = []
     psi = state.psi
     # The colors in use are always 1..used: a subtree inherits a color in
     # use or takes a first fit, at most one above the largest color in use.
@@ -386,7 +350,8 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
             process_edge_1(state, queue, (u, v))
             scheme1 = [psi[q] for q in queue]
             c1 = max([used, *scheme1])
-            if c1 > used:  # scheme 2 never ends below used: only now can it win
+            # scheme 2 never ends below used: only when c1 > used can it win
+            if all_choices or c1 > used:
                 state.unassign(queue)
                 process_edge_2(state, queue, u, v, order.edges[i][1])
                 c2 = max([used, *[psi[q] for q in queue]])
@@ -394,9 +359,9 @@ def greedy_color(inst: Instance, root: int = 0) -> GreedyResult:
                     state.unassign(queue)
                     for q, c in zip(queue, scheme1):
                         state.assign(q, c)
-                contested.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
+                choices.append(SchemeChoice(i, (u, v), 1 if c1 <= c2 else 2, c1, c2))
         else:
             process_edge_simple(state, queue)
         used = max([used, *[psi[q] for q in queue]])
         trace.append(RoundState(i, (u, v), queue, used, kind))
-    return GreedyResult(Coloring(tuple(psi)), tuple(trace), tuple(contested), inst)
+    return GreedyResult(Coloring(tuple(psi)), tuple(trace), tuple(choices))

@@ -98,8 +98,8 @@ class ValidationReport:
 
 def validate_tree(tree: HostTree) -> ValidationReport:
     """Check the host-tree invariants; violations are data, not failures.
-    A vertex count or edge endpoint must be exactly an `int` (not a
-    `bool`, nor a float equal to an integer)."""
+    An edge must be a pair, and a vertex count or edge endpoint exactly an
+    `int` (not a `bool`, nor a float equal to an integer)."""
     n = tree.vertices
     if type(n) is not int:
         violation = f"vertex count {n!r} is not an integer"
@@ -108,7 +108,12 @@ def validate_tree(tree: HostTree) -> ValidationReport:
     if n < 0:
         violations.append("vertex count is negative")
     seen: set[tuple[int, int]] = set()
-    for u, v in tree.edges:
+    for e in tree.edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            violations.append(f"edge {e!r} is not a pair")
+            continue
         if type(u) is not int or type(v) is not int:
             violations.append(f"edge ({u!r},{v!r}) has a non-integer endpoint")
             continue
@@ -158,8 +163,9 @@ def _walk_subtree(
     """One pass over a subtree's arcs: its violations, in `validate_subtree`'s
     order, and the positions (`HostTree.arc_position`) of its arcs.
 
-    A root or arc endpoint must be exactly an `int`: a `bool` or a float
-    equal to a vertex id would find its arc's position all the same.
+    An arc must be a pair, and a root or arc endpoint exactly an `int`: a
+    `bool` or a float equal to a vertex id would find its arc's position
+    all the same.
     The positions are meaningful only when there are no violations.  A
     host edge's two arcs sit at 2k and 2k+1, so ``p >> 1`` names the
     skeleton edge of an arc in the tree; an arc outside it is keyed by its
@@ -173,7 +179,11 @@ def _walk_subtree(
     indeg: dict[int, int] = {}
     row: list[int] = []
     for a in arcs:
-        t, h = a
+        try:
+            t, h = a
+        except (TypeError, ValueError):
+            violations.append(f"arc {a!r} is not a pair")
+            continue
         if type(t) is not int or type(h) is not int:
             violations.append(f"arc ({t!r},{h!r}) has a non-integer endpoint")
             continue
@@ -324,9 +334,19 @@ def edge_sides(
 
 @dataclass(frozen=True)
 class Coloring:
-    """A positive color per subtree, in subtree order."""
+    """A positive color per subtree, in subtree order.
+
+    `assignment` must be a tuple of exactly-`int` entries (not a `bool`),
+    checked once, when the coloring is built, so that a mapping is refused
+    rather than read as its keys.
+    """
 
     assignment: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        a = self.assignment
+        if type(a) is not tuple or not set(map(type, a)) <= {int}:
+            raise InputError("coloring assignment must be a tuple of integers")
 
     @property
     def colors_used(self) -> int:

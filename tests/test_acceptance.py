@@ -437,7 +437,7 @@ def test_ratio_golden(name):
     assert load(inst) == global_lower_bound(padded) == chi == bound
     assert len(per_root) == inst.tree.vertices
     for root, counts in enumerate(per_root):
-        result = greedy_color(padded, root)
+        result = greedy_color(padded, root, all_choices=True)
         assert tuple(rs.colors_used_after for rs in result.trace) == counts
         assert result.coloring.colors_used == counts[-1]
         assert len(result.scheme_choices) == forks

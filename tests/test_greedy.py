@@ -51,7 +51,7 @@ from treewave.rng import derive_seed
 def _assert_kinds_match_reference(tree, order):
     """`order.kinds` are the reference's kinds, and each fork's x by the
     paper's definition is the far end of the next round's edge, where the
-    round loop and the `GreedyResult.scheme_choices` replay read it."""
+    round loop reads it."""
     reference = classify_edge_reference(tree, order.edges)
     assert order.kinds == tuple(rt.kind for rt in reference)
     for i, rt in enumerate(reference):
@@ -302,10 +302,10 @@ class TestProcessEdge2:
         process_edge_simple(state_b, (0, 1))
         assert state_a.psi == state_b.psi == [1, 2]
 
-    def test_no_queue_on_fork_edge_builds_no_graph(self, star_tree, monkeypatch):
-        """Subtrees colored on {u,x} alone make the reuse graph non-empty, but
-        with nothing queued there its matching would color nothing, so it
-        is not built."""
+    def test_no_queue_on_fork_edge_beside_colored_ones_goes_first_fit(self, star_tree):
+        """Subtrees colored on {u,x} alone make the reuse graph non-empty,
+        but with nothing queued there its matching colors nothing: the
+        queue still goes first-fit."""
         inst = Instance(
             star_tree,
             (
@@ -314,11 +314,6 @@ class TestProcessEdge2:
                 RootedSubtree.of(3, [[3, 0]]),
             ),
         )
-
-        def unexpected(*args):
-            raise AssertionError("reuse graph built with nothing queued on {u,x}")
-
-        monkeypatch.setattr(greedy, "_reuse_graph", unexpected)
         state = _state(inst, {1: 1, 2: 2})
         process_edge_2(state, (0,), 0, 2, 3)
         assert state.psi == [1, 1, 2]
@@ -513,7 +508,7 @@ class TestGreedyColor:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fork_commits_the_better_scheme(self, seed):
         inst = make_instance(seed)
-        res = greedy_color(inst)
+        res = greedy_color(inst, all_choices=True)
         for choice in res.scheme_choices:
             committed = res.trace[choice.round - 1].colors_used_after
             assert committed == min(choice.colors_scheme1, choice.colors_scheme2)
@@ -571,19 +566,22 @@ def test_normalized_star_demo_matches_replay(star_demo):
     assert list(greedy_color(padded).coloring.assignment) == psi
 
 
+def _choice_records(res):
+    return [
+        (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
+        for c in res.scheme_choices
+    ]
+
+
 def _outputs(inst, root):
     """Coloring, per-round (kind, edge, newly colored, colors used) and
     per-fork (round, edge, chosen, scheme 1 and 2 colors) of the greedy,
     in the form `greedy_reference` returns them."""
-    res = greedy_color(inst, root)
+    res = greedy_color(inst, root, all_choices=True)
     rounds = [
         (rs.kind, rs.edge, rs.newly_colored, rs.colors_used_after) for rs in res.trace
     ]
-    choices = [
-        (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
-        for c in res.scheme_choices
-    ]
-    return dict(enumerate(res.coloring.assignment)), rounds, choices
+    return dict(enumerate(res.coloring.assignment)), rounds, _choice_records(res)
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,24 +612,27 @@ def test_matches_whole_greedy_reference_on_color_large_inputs():
 
 
 def _check_scheme_2_runs_only_where_scheme_1_opens_a_color(inst, root):
-    """Scheme 2 runs during `greedy_color` exactly in the fork rounds whose
-    scheme 1 ended above the previous round's count, in round order;
-    `scheme_choices`, replayed when read, equals the reference's record,
-    and reading it changes neither the coloring nor the trace.  Returns
-    how many fork rounds ran scheme 2 and how many skipped it."""
-    with mock.patch.object(greedy, "process_edge_2", wraps=greedy.process_edge_2) as pe2:
-        res = greedy_color(inst, root)
-        ran = [(c.args[2], c.args[3]) for c in pe2.call_args_list]
-    unread = greedy_color(inst, root)
+    """By default scheme 2 runs during `greedy_color` exactly in the fork
+    rounds whose scheme 1 ended above the previous round's count, in round
+    order, and `scheme_choices` holds the reference's record of those
+    rounds; with `all_choices` it runs in every fork round and
+    `scheme_choices` equals the reference's whole record.  Both modes give
+    the reference's coloring and the same trace.  Returns how many fork
+    rounds ran scheme 2 by default and how many skipped it."""
+    runs = []
+    for all_choices in (False, True):
+        with mock.patch.object(greedy, "process_edge_2", wraps=greedy.process_edge_2) as pe2:
+            res = greedy_color(inst, root, all_choices=all_choices)
+            runs.append((res, [(c.args[2], c.args[3]) for c in pe2.call_args_list]))
+    (lazy, ran), (every, ran_every) = runs
     psi, rounds, choices = greedy_reference(inst, root)
-    opened = [edge for r, edge, _, c1, _ in choices if c1 > rounds[r - 2][3]]
-    assert ran == opened
-    first = res.scheme_choices
-    assert res.scheme_choices is first
-    assert (res.coloring, res.trace) == (unread.coloring, unread.trace)
-    assert dict(enumerate(res.coloring.assignment)) == psi
-    assert [(c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2) for c in first] == choices
-    assert unread.scheme_choices == first
+    opened = [ch for ch in choices if ch[3] > rounds[ch[0] - 2][3]]
+    assert ran == [edge for _, edge, _, _, _ in opened]
+    assert ran_every == [edge for _, edge, _, _, _ in choices]
+    assert _choice_records(lazy) == opened
+    assert _choice_records(every) == choices
+    assert (lazy.coloring, lazy.trace) == (every.coloring, every.trace)
+    assert dict(enumerate(lazy.coloring.assignment)) == psi
     return len(opened), len(choices) - len(opened)
 
 
@@ -676,15 +677,12 @@ def _digest_cases():
 def test_results_match_recorded_digest():
     h = hashlib.sha256()
     for inst, root in _digest_cases():
-        res = greedy_color(inst, root)
+        res = greedy_color(inst, root, all_choices=True)
         rounds = [
             (rs.kind, rs.edge, rs.newly_colored, rs.colors_used_after)
             for rs in res.trace
         ]
-        choices = [
-            (c.round, c.edge, c.chosen, c.colors_scheme1, c.colors_scheme2)
-            for c in res.scheme_choices
-        ]
         base = first_fit_baseline(inst).color_list(inst.size)
+        choices = _choice_records(res)
         h.update(repr((res.coloring.color_list(inst.size), rounds, choices, base)).encode())
     assert h.hexdigest() == GREEDY_DIGEST

@@ -156,6 +156,18 @@ class TestVerifyColoring:
         with pytest.raises(InputError, match=message):
             verify_coloring(p3_demo, Coloring(colors))
 
+    @pytest.mark.parametrize(
+        "assignment", [{0: 1, 1: 1, 2: 1}, (1, True, 2), [1, 1, 2]]
+    )
+    def test_assignment_not_a_tuple_of_ints_rejected(self, p3_demo, assignment):
+        """The shape is checked when the coloring is built.  A mapping was
+        once read as its keys, so `{0: 1, 1: 1, 2: 1}` passed as valid on
+        p3_demo although subtrees 0 and 2 share color 1 on arc (0,1)."""
+        with pytest.raises(
+            InputError, match=r"^coloring assignment must be a tuple of integers$"
+        ):
+            verify_coloring(p3_demo, Coloring(assignment))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_solvers_return_a_positive_color_per_subtree(self, seed):
@@ -246,7 +258,7 @@ class TestSweepAndBench:
         monkeypatch.setattr(
             harness,
             "greedy_color",
-            lambda inst, root: GreedyResult(all_ones(inst.size), (), (), inst),
+            lambda inst, root: GreedyResult(all_ones(inst.size), (), ()),
         )
         monkeypatch.setattr(
             harness, "first_fit_baseline", lambda inst: all_ones(inst.size)

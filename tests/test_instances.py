@@ -146,6 +146,34 @@ def test_non_integer_ids_rejected_by_instance():
             build()
 
 
+def test_edges_and_arcs_that_are_not_pairs_rejected_by_instance():
+    """A wrong-arity or non-iterable edge or arc is a violation like any
+    other; each once escaped as a bare `ValueError` or `TypeError` from
+    unpacking it."""
+    path = HostTree(2, ((0, 1),))
+    cases = (
+        (
+            lambda: Instance(HostTree(2, ((0, 1, 2),)), ()),
+            r"^invalid host tree: edge \(0, 1, 2\) is not a pair$",
+        ),
+        (
+            lambda: Instance(HostTree(2, (7,)), ()),
+            r"^invalid host tree: edge 7 is not a pair$",
+        ),
+        (
+            lambda: Instance(path, (RootedSubtree(0, ((0, 1, 1),)),)),
+            r"^invalid subtree 0: arc \(0, 1, 1\) is not a pair$",
+        ),
+        (
+            lambda: Instance(path, (RootedSubtree(0, (5,)),)),
+            r"^invalid subtree 0: arc 5 is not a pair$",
+        ),
+    )
+    for build, message in cases:
+        with pytest.raises(InputError, match=message):
+            build()
+
+
 MUTATIONS = (
     "none",
     "empty",
