@@ -8,7 +8,11 @@ The conflict graph restricted to one host edge is the complement of a
 bipartite graph, so its chromatic number is exactly (population size)
 minus (maximum matching in the complement, counted by
 `matching._matching_size`); maximized over edges this gives the
-certified lower bound.  A complement of a bipartite graph is perfect, so
+certified lower bound.  `compute_bounds` under its size guard reads each
+edge's complement rows from the conflict graph it builds for the exact
+oracles anyway; over the guard, and in `edge_lower_bound` and
+`global_lower_bound`, they come from arc positions (`_complement_rows`)
+and no graph is built.  A complement of a bipartite graph is perfect, so
 each per-edge bound is also the size of a clique, and the global bound
 is a floor for the clique number.  Exact chromatic number and clique
 number come from small branch-and-bound oracles behind explicit size
@@ -101,14 +105,31 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     nothing can be matched, so the bound is the population (0 on an
     unused edge); 3,449 of the 5,958 host edges of the seed-1 `sweep`
     items are such edges.  Otherwise the complement's rows come from
-    `_complement_rows` and only the size of a maximum matching in them is
-    counted (`matching._matching_size`); no graph and no pairs are built.
+    `_complement_rows`, built from arc positions, and only the size of a
+    maximum matching in them is counted (`matching._matching_size`); no
+    graph and no pairs are built.  `compute_bounds` under its size guard
+    reads the same rows from the conflict graph instead.
     """
     fwd, bwd = edge_sides(inst, *edge)
     if not fwd or not bwd:
         return len(fwd) + len(bwd)
     rows = _complement_rows(inst, fwd, bwd)
-    return len(fwd) + len(bwd) - _matching_size(rows, len(bwd))
+    return len(fwd) + len(bwd) - _matching_size(rows, (1 << len(bwd)) - 1)
+
+
+def _graph_edge_bound(
+    masks: Sequence[int], fwd: Sequence[int], bwd: Sequence[int]
+) -> int:
+    """`edge_lower_bound` of the edge with sides `fwd` and `bwd`, its
+    complement rows read from the conflict graph's `masks`: with R the
+    mask of `bwd`'s subtree indices, left i's row is ``R & ~masks[i]``.
+    The rights are subtree indices rather than positions in `bwd`, in the
+    same ascending order, so the matching found is the same."""
+    right = 0
+    for j in bwd:
+        right |= 1 << j
+    rows = [right & ~masks[i] for i in fwd]
+    return len(fwd) + len(bwd) - _matching_size(rows, right)
 
 
 def global_lower_bound(inst: Instance) -> int:
@@ -379,18 +400,27 @@ class BoundsReport:
 
 def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     """Bounds report; the exact quantities are skipped when over the guard.
-    Clique number and χ both come from the exact χ search, which starts
-    from the global lower bound as a known clique size: when first-fit
-    already uses that many colors it is optimal and no clique is
-    searched."""
+
+    Under the guard the conflict graph is built first, and each edge's
+    complement rows are read from it (`_graph_edge_bound`); over it they
+    come from arc positions, as in `edge_lower_bound`, and no graph is
+    built.  Clique number and χ both come from the exact χ search, which
+    starts from the global lower bound as a known clique size: when
+    first-fit already uses that many colors it is optimal and no clique
+    is searched."""
+    g = build_conflict_graph(inst) if inst.size <= limit else None
     per_edge = {
-        edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in inst.tree.edges
+        edge_key(u, v): (
+            edge_lower_bound(inst, (u, v))
+            if g is None
+            else _graph_edge_bound(g.masks, *edge_sides(inst, u, v))
+        )
+        for u, v in inst.tree.edges
     }
     glb = max(per_edge.values(), default=0)
     clique = None
     chi = None
-    if inst.size <= limit:
-        g = build_conflict_graph(inst)
+    if g is not None:
         chi, _, clique = _chromatic_number(g.n, g.masks, glb)
     return BoundsReport(
         load=load(inst),

@@ -14,7 +14,9 @@ positions on its left's arcs, read by arc position.
 
 `edge_complement_bipartite` splits its subset along the ascending sides
 from `edge_sides`, sorting nothing; the greedy's reuse graph and the
-per-edge lower bound take rows from the unchecked `_complement_rows`.
+per-edge lower bound take rows from the unchecked `_complement_rows`,
+except `bounds.compute_bounds` under its size guard, which reads them
+from the conflict graph it builds anyway.
 """
 
 from __future__ import annotations

@@ -52,22 +52,24 @@ def _checked(value, cls: type):
     return value
 
 
-def _field(doc, key: str, cls: type):
-    """`doc[key]` checked to be a `cls`, once `doc` is checked to be an object."""
-    if key not in _checked(doc, dict):
+def _field(doc: dict, key: str, cls: type):
+    """`doc[key]` checked to be a `cls`; the caller has checked that `doc`
+    is an object, once for all its keys."""
+    if key not in doc:
         raise InputError(f"missing key {key!r}")
     return _checked(doc[key], cls)
 
 
-def _pair(value) -> tuple[int, int]:
-    """An edge or an arc: an array of two integers, both tested at once."""
+def _pair(value, cls: type[tuple]) -> tuple[int, int]:
+    """An edge or an arc: an array of two integers, both tested at once,
+    built as a `cls` (a plain tuple or an `Arc`) in the same call."""
     if type(value) is not list or len(value) != 2:
         raise InputError(f"expected a pair of integers, got {_brief(value)}")
     u, v = value
     if type(u) is not int or type(v) is not int:
         _checked(u, int)
         _checked(v, int)
-    return u, v
+    return tuple.__new__(cls, value)
 
 
 def _parse_json(text: str, what: str):
@@ -83,8 +85,9 @@ def _parse_json(text: str, what: str):
 
 
 def _subtree(doc) -> RootedSubtree:
+    _checked(doc, dict)
     root = _field(doc, "root", int)
-    arcs = tuple([Arc(*_pair(a)) for a in _field(doc, "arcs", list)])
+    arcs = tuple([_pair(a, Arc) for a in _field(doc, "arcs", list)])
     return RootedSubtree(root, arcs)
 
 
@@ -93,8 +96,9 @@ def loads_instance(text: str) -> Instance:
     each root before its arcs, so the first defect is the one named."""
     doc = _parse_json(text, "instance")
     try:
+        _checked(doc, dict)
         tree_doc = _field(doc, "tree", dict)
-        edges = tuple([_pair(e) for e in _field(tree_doc, "edges", list)])
+        edges = tuple([_pair(e, tuple) for e in _field(tree_doc, "edges", list)])
         tree = HostTree(_field(tree_doc, "vertices", int), edges)
         subtrees = tuple([_subtree(s) for s in _field(doc, "subtrees", list)])
     except InputError as e:
@@ -116,6 +120,7 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     """Returns (colors, original_colors or None)."""
     doc = _parse_json(text, "coloring")
     try:
+        _checked(doc, dict)
         colors = [_checked(c, int) for c in _field(doc, "colors", list)]
         original = doc.get("original_colors")
         if original is not None:

@@ -159,13 +159,56 @@ class RootedSubtree:
 
 def _walk_subtree(
     position: Mapping[tuple[int, int], int], s: RootedSubtree
+) -> tuple[Sequence[str], tuple[int, ...]]:
+    """A subtree's violations, in `validate_subtree`'s order, and the
+    positions (`HostTree.arc_position`) of its arcs.
+
+    A lean accepting pass runs first and returns no violations and the
+    positions as soon as it gets through: the arcs a tuple, every arc an
+    `Arc` of two exact `int`s on a host edge, no skeleton edge twice, the
+    root a tail and every tail a head or the root.  Then the k arcs lie on
+    k distinct host edges, a forest on at least k + 1 vertices, all of
+    them among the root and the k heads; so the heads are distinct and not
+    the root, and the forest is one tree, out from the root: the subtree
+    is valid.  A valid one whose arcs are a tuple of `Arc`s always gets
+    through.  At its first irregularity the pass gives up and
+    `_violations` walks the arcs again to name them.
+    """
+    root, arcs = s.root, s.arcs
+    if type(root) is int and type(arcs) is tuple:
+        heads = {root}
+        tails = set()
+        skeleton = set()
+        row = []
+        for a in arcs:
+            if type(a) is not Arc:
+                break
+            t, h = a
+            if type(t) is not int or type(h) is not int:
+                break
+            p = position.get(a)
+            if p is None or p >> 1 in skeleton:
+                break
+            heads.add(h)
+            tails.add(t)
+            skeleton.add(p >> 1)
+            row.append(p)
+        else:
+            if root in tails and tails <= heads:
+                return (), tuple(row)
+    return _violations(position, s)
+
+
+def _violations(
+    position: Mapping[tuple[int, int], int], s: RootedSubtree
 ) -> tuple[list[str], tuple[int, ...]]:
-    """One pass over a subtree's arcs: its violations, in `validate_subtree`'s
-    order, and the positions (`HostTree.arc_position`) of its arcs.
+    """One pass over a subtree's arcs: `_walk_subtree`'s result, with every
+    violation named.
 
     An arc must be a pair, and a root or arc endpoint exactly an `int`: a
     `bool` or a float equal to a vertex id would find its arc's position
-    all the same.
+    all the same.  The position is looked up by the unpacked pair, so an
+    arc given as a list is read like an `Arc`.
     The positions are meaningful only when there are no violations.  A
     host edge's two arcs sit at 2k and 2k+1, so ``p >> 1`` names the
     skeleton edge of an arc in the tree; an arc outside it is keyed by its
@@ -190,7 +233,7 @@ def _walk_subtree(
         if t == h:
             violations.append(f"arc ({t},{h}) is a self-loop")
             continue
-        p = position.get(a)
+        p = position.get((t, h))
         if p is None:
             violations.append(f"arc ({t},{h}) is not a host tree edge")
             k = edge_key(t, h)

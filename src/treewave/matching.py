@@ -82,12 +82,15 @@ def max_bipartite_matching(g: BipartiteGraph) -> Matching:
     return Matching(tuple(pairs))
 
 
-def _matching_size(rows: Sequence[int], n_right: int) -> int:
-    """Size of a maximum matching, its pairs free to differ from
-    `max_bipartite_matching`'s: each left first takes the lowest free
-    right of its row, then the lefts left over are searched from."""
-    match_r = [-1] * n_right
-    free = (1 << n_right) - 1
+def _matching_size(rows: Sequence[int], free: int) -> int:
+    """Size of a maximum matching from `rows` into the rights whose bits
+    are set in `free` (no row has a bit outside it), its pairs free to
+    differ from `max_bipartite_matching`'s: each left first takes the
+    lowest free right of its row, then the lefts left over are searched
+    from.  The rights are positions ``0..n-1`` (`free` is ``2**n - 1``) on
+    complement rows, subtree indices on rows read from a conflict graph."""
+    match_r = [-1] * free.bit_length()
+    n_right = free.bit_count()
     unmatched = []
     for lp, row in enumerate(rows):
         m = row & free

@@ -50,12 +50,12 @@ from treewave import (
     sweep_items,
     verify_coloring,
 )
-from treewave import instances
+from treewave import bounds, instances
 from treewave.bounds import _chromatic_number, _first_fit_classes, _greedy_clique
 from treewave.cli import main
 from treewave.conflict import edge_complement_bipartite
 from treewave.formats import dumps_instance, loads_instance
-from treewave.instances import edge_sides
+from treewave.instances import edge_key, edge_sides
 from treewave.matching import _matching_size, max_bipartite_matching
 from treewave.rng import XorShift64Star, derive_seed
 
@@ -212,7 +212,7 @@ class TestEdgeLowerBound:
 def _sizes_agree(g) -> int:
     """`_matching_size` on the rows of `g`, checked against the greedy's
     pair-exact matching and, where the graph fits its guard, brute force."""
-    size = _matching_size(g.rows, len(g.right))
+    size = _matching_size(g.rows, (1 << len(g.right)) - 1)
     assert size == max_bipartite_matching(g).size
     if len(g.left) + len(g.right) <= BRUTE_FORCE_GUARD:
         assert size == brute_force_matching_size(g)
@@ -255,7 +255,7 @@ class TestMatchingSize:
         chain has a perfect matching, and `test_chains` compares the two
         matchers on the small ones."""
         g = _chain(3000)
-        assert _matching_size(g.rows, 3000) == 3000
+        assert _matching_size(g.rows, (1 << 3000) - 1) == 3000
 
     def test_augmenting_path_deeper_than_recursion_limit(self):
         # left l -> rights l, l+1 and the last left -> right 0: the warm
@@ -264,7 +264,7 @@ class TestMatchingSize:
         n = 20_000
         edges = [(lp, rp) for lp in range(n - 1) for rp in (lp, lp + 1)]
         g = bipartite_of(range(n), range(n, 2 * n), edges + [(n - 1, 0)])
-        assert _matching_size(g.rows, n) == n
+        assert _matching_size(g.rows, (1 << n) - 1) == n
 
 
 class TestGlobalLowerBound:
@@ -706,18 +706,48 @@ def _triangle_across_edges() -> Instance:
     return Instance(star, subtrees)
 
 
+def _duplicates_and_an_empty_side() -> Instance:
+    """Duplicated subtrees on a 4-path.  Edge {0,1} has both sides but
+    no pair across them that does not collide, and {1,2} and {2,3} each
+    have one side empty."""
+    path = HostTree.of(4, [[0, 1], [1, 2], [2, 3]])
+    down = RootedSubtree.of(0, [[0, 1], [1, 2]])
+    up = RootedSubtree.of(3, [[3, 2]])
+    subtrees = (down, down, RootedSubtree.of(1, [[1, 0], [1, 2]]), up, up)
+    return Instance(path, subtrees)
+
+
+def _oracle_shaped_instances():
+    """300 raw instances shaped like the benchmark's `oracle` inputs
+    (5-9 vertices, 16-24 subtrees of 1-4 arcs)."""
+    for i in range(300):
+        rng = XorShift64Star(derive_seed(1, i))
+        vertices = rng.randint(5, 9)
+        count = rng.randint(16, 24)
+        params = GenParams(vertices, 3, count, (1, 4), seed=rng.next_u64())
+        yield generate_instance(params)
+
+
 def test_compute_bounds_equals_the_public_oracles():
-    """On random raw instances under the guard, a 5-cycle and a triangle
-    across three edges, reaching every return of the χ search, the
-    report's clique number and χ are `max_clique` and `exact_chromatic`
-    of the conflict graph."""
+    """On random raw instances under the guard, the `oracle`-shaped ones,
+    a 5-cycle, a triangle across three edges and an instance with
+    duplicates and an edge with one side empty, reaching every return of
+    the χ search: the report's clique number and χ are `max_clique` and
+    `exact_chromatic` of the conflict graph, and its per-edge bounds, read
+    from the conflict graph under the guard and from complement rows
+    over it, are `edge_lower_bound` and `global_lower_bound`."""
     rng = random.Random(2018)
-    instances = [_five_cycle(), _triangle_across_edges()]
+    instances = [
+        _five_cycle(),
+        _triangle_across_edges(),
+        _duplicates_and_an_empty_side(),
+    ]
     for _ in range(200):
         params = GenParams(
             rng.randint(2, 9), 3, rng.randint(0, 24), (1, 4), seed=rng.getrandbits(64)
         )
         instances.append(generate_instance(params))
+    instances += _oracle_shaped_instances()
     names = (
         "empty",
         "floor meets first-fit",
@@ -733,7 +763,42 @@ def test_compute_bounds_equals_the_public_oracles():
         assert report.clique_lower_bound == max_clique(g)
         assert report.exact_chromatic == exact_chromatic(g)[0]
         exits[_chromatic_exit(g, report.global_lower_bound)] += 1
+        edges = inst.tree.edges
+        per_edge = {edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in edges}
+        assert report.per_edge_bound == per_edge
+        assert report.global_lower_bound == global_lower_bound(inst)
+        assert compute_bounds(inst, limit=0).per_edge_bound == per_edge
     assert all(exits.values()), exits
+    assert compute_bounds(_duplicates_and_an_empty_side()).per_edge_bound == {
+        (0, 1): 3,
+        (1, 2): 3,
+        (2, 3): 2,
+    }
+
+
+def test_compute_bounds_reads_edge_rows_from_the_graph_under_the_guard(monkeypatch):
+    """Under the guard the per-edge rows come from the one conflict graph
+    the χ search uses; over it they come from complement rows and no
+    graph is built."""
+    calls = {"graph": 0, "rows": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    graph = counting("graph", bounds.build_conflict_graph)
+    monkeypatch.setattr(bounds, "build_conflict_graph", graph)
+    rows = counting("rows", bounds._complement_rows)
+    monkeypatch.setattr(bounds, "_complement_rows", rows)
+    inst = _duplicates_and_an_empty_side()
+    compute_bounds(inst)
+    assert calls == {"graph": 1, "rows": 0}
+    calls.update(graph=0, rows=0)
+    compute_bounds(inst, limit=0)
+    assert calls == {"graph": 0, "rows": 1}
 
 
 # SHA-256 over exact_chromatic's χ and witness and max_clique's size on a
@@ -743,15 +808,10 @@ EXACT_DIGEST = "8608b7ca2d8bb8feb0a89cac25fede12a5e1cab096005db2d7b2dba66d9991a5
 
 
 def _exact_digest_graphs():
-    """Conflict graphs of 300 raw instances shaped like the benchmark's
-    `oracle` inputs (5-9 vertices, 16-24 subtrees of 1-4 arcs), then 2,000
+    """Conflict graphs of the 300 `oracle`-shaped instances, then 2,000
     random graphs of 0-14 vertices at random densities."""
-    for i in range(300):
-        rng = XorShift64Star(derive_seed(1, i))
-        vertices = rng.randint(5, 9)
-        count = rng.randint(16, 24)
-        params = GenParams(vertices, 3, count, (1, 4), seed=rng.next_u64())
-        yield build_conflict_graph(generate_instance(params))
+    for inst in _oracle_shaped_instances():
+        yield build_conflict_graph(inst)
     rng = random.Random(2018)
     for _ in range(2000):
         yield _seeded_graph(rng, rng.randint(0, 14))

@@ -29,6 +29,8 @@ from treewave import (
     validate_subtree,
     validate_tree,
 )
+from treewave import instances
+from treewave.formats import dumps_instance, loads_instance
 from treewave.instances import edge_sides
 
 
@@ -174,6 +176,72 @@ def test_edges_and_arcs_that_are_not_pairs_rejected_by_instance():
             build()
 
 
+def test_list_arc_read_like_an_arc_by_instance():
+    """An arc given as a list finds its position by its unpacked pair, as
+    a list edge does in `HostTree`; it once raised a bare `TypeError`
+    from hashing the list.  Arcs that are not a tuple skip the walk's
+    lean pass, so empty ones of any kind are still reported as such."""
+    path = HostTree(2, ((0, 1),))
+    inst = Instance(path, (RootedSubtree(0, ([0, 1],)),))
+    assert inst.arc_positions == ((0,),)
+    assert Instance(path, (RootedSubtree(0, [Arc(0, 1)]),)).arc_positions == ((0,),)
+    empty = r"^invalid subtree 0: subtree has no arcs"
+    for arcs in (None, 0, []):
+        with pytest.raises(InputError, match=empty):
+            Instance(path, (RootedSubtree(0, arcs),))
+
+
+def _instance_agrees(tree: HostTree, s: RootedSubtree) -> None:
+    """`Instance(tree, (s,))` with `s`'s arcs as `Arc`s, plain tuples and
+    lists, so the walk's lean pass and its naming pass both run: refused
+    with the reference's violations iff it reports any, else holding the
+    positions of the arcs."""
+    reference = validate_subtree_reference(tree, s)
+    for arcs in (s.arcs, tuple(map(tuple, s.arcs)), tuple(map(list, s.arcs))):
+        try:
+            inst = Instance(tree, (RootedSubtree(s.root, arcs),))
+        except InputError as e:
+            assert not reference.ok
+            assert str(e) == "invalid subtree 0: " + "; ".join(reference.violations)
+        else:
+            assert reference.ok
+            assert inst.arc_positions[0] == tuple(tree.arc_position[a] for a in s.arcs)
+
+
+def test_only_irregular_subtrees_are_walked_twice(monkeypatch):
+    """Valid subtrees built from `Arc`s, as the loader builds them, pass
+    the walk's lean pass alone; a subtree with a list arc or a violation
+    is walked again to name its violations."""
+    calls = []
+    name = instances._violations
+
+    def counting(position, s):
+        calls.append(s)
+        return name(position, s)
+
+    monkeypatch.setattr(instances, "_violations", counting)
+    inst = make_instance(7, max_vertices=12, max_subtrees=20, max_arcs=6)
+    Instance(inst.tree, inst.subtrees)
+    loads_instance(dumps_instance(inst))
+    assert inst.size > 0 and calls == []
+    path = HostTree(2, ((0, 1),))
+    Instance(path, (RootedSubtree(0, ([0, 1],)),))
+    with pytest.raises(InputError):
+        Instance(path, (RootedSubtree(1, (Arc(0, 1),)),))
+    assert len(calls) == 2
+
+
+def test_two_way_edge_apart_from_the_root_refused():
+    """Arcs both ways along one host edge away from the root give every
+    vertex but the root in-degree 1 and the right arc count: only the
+    repeated skeleton edge and the broken connection show."""
+    path = HostTree.of(4, [[0, 1], [1, 2], [2, 3]])
+    for arcs in ([[0, 1], [2, 3], [3, 2]], [[3, 2], [0, 1], [2, 3]]):
+        s = RootedSubtree.of(0, arcs)
+        assert not validate_subtree_reference(path, s).ok
+        _instance_agrees(path, s)
+
+
 MUTATIONS = (
     "none",
     "empty",
@@ -238,10 +306,12 @@ def _mutated_subtrees(seed: int, pick):
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_validate_subtree_matches_reference(seed, data):
     """Same `ok` and the same violations, in order, as the validator as
-    first written, on generated subtrees and on every kind of mutation."""
+    first written, on generated subtrees and on every kind of mutation;
+    `Instance` agrees."""
     pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
     for tree, s in _mutated_subtrees(seed, pick):
         assert validate_subtree(tree, s) == validate_subtree_reference(tree, s)
+        _instance_agrees(tree, s)
 
 
 def test_subtree_mutations_reach_every_violation():
@@ -274,7 +344,8 @@ def test_subtree_mutations_reach_every_violation():
 def test_validate_subtree_matches_reference_exhaustively():
     """Every labeled tree on 2-5 vertices, every arc set taking each host
     edge absent, forward or backward, and every root in 0..n, where n is a
-    root no arc touches: the same report as the validator as first written."""
+    root no arc touches: the same report as the validator as first
+    written, and `Instance` agrees."""
     cases = 0
     for n in range(2, 6):
         for tree in labeled_trees(n):
@@ -284,6 +355,7 @@ def test_validate_subtree_matches_reference_exhaustively():
                 for root in range(n + 1):
                     s = RootedSubtree(root, arcs)
                     assert validate_subtree(tree, s) == validate_subtree_reference(tree, s)
+                    _instance_agrees(tree, s)
                     cases += 1
     assert cases == 63_027
 
