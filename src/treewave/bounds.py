@@ -16,7 +16,9 @@ and no graph is built.  A complement of a bipartite graph is perfect, so
 each per-edge bound is also the size of a clique, and the global bound
 is a floor for the clique number.  Exact chromatic number and clique
 number come from small branch-and-bound oracles behind explicit size
-guards.
+guards.  The χ search stops at its first coloring with as many colors as
+a known clique has members, and searches for the clique number only when
+its first descent does not reach one.
 
 Padding to the load L changes neither χ nor the global lower bound, so
 both can be computed on the smaller, unpadded instance:
@@ -205,16 +207,25 @@ def _chromatic_number(
     known); it never changes the result, only how much work finds it.
     The classes of `_first_fit_classes` on the whole graph give the
     initial upper bound and witness, with class k as color k+1, returned
-    as optimal once a clique reaches their count: `floor` (the count is
-    then ω, and no clique is built; the empty graph leaves here), else ω,
-    the greedy clique's size if that reaches it and otherwise searched
-    from the larger of that size and `floor`.  Past both exits the greedy
-    clique is pre-colored 1..k to break color symmetry, and ω is the lower
-    bound.  Vertices are then chosen by maximum saturation (distinct
-    neighbor colors), degree and lowest index breaking ties, and a branch
-    is cut as soon as it cannot use fewer colors than the incumbent.  The
-    incumbent only ever improves strictly and never goes below ω, so the
-    search returns as soon as it reaches ω, the full search's last witness.
+    as optimal when a clique reaches their count: `floor` (the count is
+    then ω, and no clique is built; the empty graph leaves here), or the
+    greedy clique.  Past both exits the greedy clique is pre-colored 1..k
+    to break color symmetry.  Vertices are then chosen by maximum
+    saturation (distinct neighbor colors), degree and lowest index
+    breaking ties, and a branch is cut as soon as it cannot use fewer
+    colors than the incumbent.  The incumbent only ever improves strictly,
+    and no coloring uses fewer colors than a clique has members, so the
+    search returns an incumbent as soon as it reaches a known clique's
+    size: then known <= ω <= χ <= incumbent, and it is the full search's
+    last witness.  The clique known at first is the larger of the greedy
+    clique and `floor`; usually the first descent reaches it and no clique
+    is searched.  At the first backtrack, if it has not, ω is searched
+    once (`_max_clique_size`) and becomes the known size, and an incumbent
+    already at ω (first-fit's, or the first descent's) is returned there.
+    ω is searched no earlier because most searches never need it, and no
+    later because a search whose incumbent is already ω would otherwise
+    go on until it is exhausted.  When to stop never changes which
+    incumbents are found, or in what order.
 
     The search is a loop over an explicit stack, so its depth is bounded
     by memory, not by the interpreter's recursion limit.  A frame is
@@ -242,9 +253,10 @@ def _chromatic_number(
         return ub, best, ub
     clique = _greedy_clique(n, masks)
     lb = len(clique)
-    omega = lb if lb == ub else _max_clique_size(n, masks, max(lb, floor))
-    if omega == ub:
-        return ub, best, omega
+    if lb == ub:
+        return ub, best, lb
+    known = max(lb, floor)
+    searched = False
     # colors stay below the first incumbent, so `ub` entries per vertex
     # cover colors 1..ub-1
     width = ub
@@ -277,6 +289,11 @@ def _chromatic_number(
                     colors[pick] = 0
                     keys[pick] = forbidden.bit_count() * n + masks[pick].bit_count()
                 stack.pop()
+                if not searched:
+                    searched = True
+                    known = _max_clique_size(n, masks, known)
+                    if known == ub:
+                        return ub, best, known
                 continue
             frame[2] = c + 1
             _shift_color(masks[pick], old, c, width, counts, seen, keys, n)
@@ -287,10 +304,10 @@ def _chromatic_number(
             if lb + len(stack) < n:
                 break
             ub, best = used, list(colors)
-            if ub == omega:
-                return ub, best, omega
+            if ub == known:
+                return ub, best, known
         else:
-            return ub, best, omega
+            return ub, best, known
 
 
 def _shift_color(
@@ -359,9 +376,10 @@ def exact_chromatic(g: ConflictGraph, limit: int = ORACLE_GUARD) -> tuple[int, C
     """Exact chromatic number with an optimal witness coloring.
 
     Branch and bound over DSATUR-style vertex choices with a first-fit
-    upper bound and the clique number as lower bound; the search stops as
-    soon as a coloring reaches the clique number.  Guarded: graphs larger
-    than `limit` are rejected so runs stay reproducible.
+    upper bound; the search stops as soon as a coloring uses no more
+    colors than a known clique has members, the greedy clique's or, when
+    the first descent does not reach that, the clique number's.  Guarded:
+    graphs larger than `limit` are rejected so runs stay reproducible.
     """
     if g.n > limit:
         raise LimitError(f"exact coloring limited to {limit} vertices, got {g.n}")
@@ -406,8 +424,8 @@ def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     come from arc positions, as in `edge_lower_bound`, and no graph is
     built.  Clique number and χ both come from the exact χ search, which
     starts from the global lower bound as a known clique size: when
-    first-fit already uses that many colors it is optimal and no clique
-    is searched."""
+    first-fit or the search's first descent uses that many colors, the
+    coloring is optimal, χ is ω, and no clique is searched."""
     g = build_conflict_graph(inst) if inst.size <= limit else None
     per_edge = {
         edge_key(u, v): (

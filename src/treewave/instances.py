@@ -19,6 +19,7 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -98,11 +99,15 @@ class ValidationReport:
 
 def validate_tree(tree: HostTree) -> ValidationReport:
     """Check the host-tree invariants; violations are data, not failures.
-    An edge must be a pair, and a vertex count or edge endpoint exactly an
-    `int` (not a `bool`, nor a float equal to an integer)."""
+    The edges must be a sized collection, such as a tuple or a list, an
+    edge a pair, and a vertex count or edge endpoint exactly an `int` (not
+    a `bool`, nor a float equal to an integer)."""
     n = tree.vertices
     if type(n) is not int:
         violation = f"vertex count {n!r} is not an integer"
+        return ValidationReport(ok=False, violations=(violation,))
+    if not isinstance(tree.edges, Collection):
+        violation = f"edges of type {type(tree.edges).__name__} are not a collection"
         return ValidationReport(ok=False, violations=(violation,))
     violations: list[str] = []
     if n < 0:
@@ -205,10 +210,11 @@ def _violations(
     """One pass over a subtree's arcs: `_walk_subtree`'s result, with every
     violation named.
 
-    An arc must be a pair, and a root or arc endpoint exactly an `int`: a
-    `bool` or a float equal to a vertex id would find its arc's position
-    all the same.  The position is looked up by the unpacked pair, so an
-    arc given as a list is read like an `Arc`.
+    The arcs must be a sized collection, such as a tuple or a list, an arc
+    a pair, and a root or arc endpoint exactly an `int`: a `bool` or a
+    float equal to a vertex id would find its arc's position all the same.
+    The position is looked up by the unpacked pair, so an arc given as a
+    list is read like an `Arc`.
     The positions are meaningful only when there are no violations.  A
     host edge's two arcs sit at 2k and 2k+1, so ``p >> 1`` names the
     skeleton edge of an arc in the tree; an arc outside it is keyed by its
@@ -217,6 +223,8 @@ def _violations(
     arcs = s.arcs
     if not arcs:
         return ["subtree has no arcs (requests must occupy a fiber link)"], ()
+    if not isinstance(arcs, Collection):
+        return [f"arcs of type {type(arcs).__name__} are not a collection"], ()
     violations: list[str] = []
     skeleton: set[int | tuple[int, int]] = set()
     indeg: dict[int, int] = {}

@@ -659,11 +659,28 @@ def test_compute_bounds_respects_guard(p3_demo):
 
 
 
-def _chromatic_exit(g, floor: int) -> str:
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Wrap each named function of `bounds` to count its calls; returns the
+    counts by name, which the caller may reset."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def wrapped(*args, name=name, fn=getattr(bounds, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(bounds, name, wrapped)
+    return calls
+
+
+def _chromatic_exit(g, floor: int, searched: bool) -> str:
     """Which case of the exact χ search the conflict graph `g` reaches
-    from the clique floor `floor`.  The empty graph leaves at the floor
-    exit, and a greedy clique as large as first-fit at the clique-number
-    exit without a clique search."""
+    from the clique floor `floor`; `searched` tells whether the search
+    looked for the clique number.  The empty graph leaves at the floor
+    exit.  Past the greedy clique, a first descent that colors with as
+    many colors as the larger of that clique and the floor returns without
+    a clique search; otherwise the clique number is searched once, and
+    returned with first-fit when the two are equal."""
     if g.n == 0:
         return "empty"
     ub = max(first_fit_reference(g.n, g.masks))
@@ -672,10 +689,34 @@ def _chromatic_exit(g, floor: int) -> str:
     lb = len(_greedy_clique(g.n, g.masks))
     if lb == ub:
         return "greedy clique"
+    chi = exact_chromatic(g)[0]
+    if not searched:
+        assert chi == max(lb, floor)
+        return "first descent reaches the known clique"
     omega = max_clique(g)
     if omega == ub:
         return "clique number"
-    return "search reaches ω" if exact_chromatic(g)[0] == omega else "search exhausted"
+    return "search reaches ω" if chi == omega else "search exhausted"
+
+
+def _first_descent_short_of_omega() -> Instance:
+    """Seven generated requests on a 5-vertex tree with LB = ω = χ = 3,
+    below first-fit's 4, where the χ search's first descent does not
+    color with 3: it searches ω and reaches it later."""
+    return generate_instance(GenParams(5, 3, 7, (1, 3), seed=5748))
+
+
+def _first_fit_off_by_one() -> Instance:
+    """Four requests on a 4-path whose conflict graph is a path, listed so
+    that first-fit gives the last one a third color: LB = χ = 2."""
+    path = HostTree.of(4, [[0, 1], [1, 2], [2, 3]])
+    subtrees = (
+        RootedSubtree.of(0, [[0, 1]]),
+        RootedSubtree.of(2, [[2, 3]]),
+        RootedSubtree.of(0, [[0, 1], [1, 2]]),
+        RootedSubtree.of(1, [[1, 2], [2, 3]]),
+    )
+    return Instance(path, subtrees)
 
 
 def _five_cycle() -> Instance:
@@ -728,19 +769,22 @@ def _oracle_shaped_instances():
         yield generate_instance(params)
 
 
-def test_compute_bounds_equals_the_public_oracles():
+def test_compute_bounds_equals_the_public_oracles(monkeypatch):
     """On random raw instances under the guard, the `oracle`-shaped ones,
-    a 5-cycle, a triangle across three edges and an instance with
-    duplicates and an edge with one side empty, reaching every return of
-    the χ search: the report's clique number and χ are `max_clique` and
+    a 5-cycle, a triangle across three edges, an instance with duplicates
+    and an edge with one side empty, one that first-fit overcolors and one
+    whose first descent falls short, reaching every return of the χ
+    search: the report's clique number and χ are `max_clique` and
     `exact_chromatic` of the conflict graph, and its per-edge bounds, read
-    from the conflict graph under the guard and from complement rows
-    over it, are `edge_lower_bound` and `global_lower_bound`."""
+    from the conflict graph under the guard and from complement rows over
+    it, are `edge_lower_bound` and `global_lower_bound`."""
     rng = random.Random(2018)
     instances = [
         _five_cycle(),
         _triangle_across_edges(),
         _duplicates_and_an_empty_side(),
+        _first_fit_off_by_one(),
+        _first_descent_short_of_omega(),
     ]
     for _ in range(200):
         params = GenParams(
@@ -752,17 +796,21 @@ def test_compute_bounds_equals_the_public_oracles():
         "empty",
         "floor meets first-fit",
         "greedy clique",
+        "first descent reaches the known clique",
         "clique number",
         "search reaches ω",
         "search exhausted",
     )
     exits = dict.fromkeys(names, 0)
+    calls = _count_calls(monkeypatch, "_max_clique_size")
     for inst in instances:
         g = build_conflict_graph(inst)
+        calls["_max_clique_size"] = 0
         report = compute_bounds(inst)
+        searched = calls["_max_clique_size"] > 0
         assert report.clique_lower_bound == max_clique(g)
         assert report.exact_chromatic == exact_chromatic(g)[0]
-        exits[_chromatic_exit(g, report.global_lower_bound)] += 1
+        exits[_chromatic_exit(g, report.global_lower_bound, searched)] += 1
         edges = inst.tree.edges
         per_edge = {edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in edges}
         assert report.per_edge_bound == per_edge
@@ -780,25 +828,28 @@ def test_compute_bounds_reads_edge_rows_from_the_graph_under_the_guard(monkeypat
     """Under the guard the per-edge rows come from the one conflict graph
     the χ search uses; over it they come from complement rows and no
     graph is built."""
-    calls = {"graph": 0, "rows": 0}
-
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapped
-
-    graph = counting("graph", bounds.build_conflict_graph)
-    monkeypatch.setattr(bounds, "build_conflict_graph", graph)
-    rows = counting("rows", bounds._complement_rows)
-    monkeypatch.setattr(bounds, "_complement_rows", rows)
+    calls = _count_calls(monkeypatch, "build_conflict_graph", "_complement_rows")
     inst = _duplicates_and_an_empty_side()
     compute_bounds(inst)
-    assert calls == {"graph": 1, "rows": 0}
-    calls.update(graph=0, rows=0)
+    assert calls == {"build_conflict_graph": 1, "_complement_rows": 0}
+    calls.update(build_conflict_graph=0, _complement_rows=0)
     compute_bounds(inst, limit=0)
-    assert calls == {"graph": 0, "rows": 1}
+    assert calls == {"build_conflict_graph": 0, "_complement_rows": 1}
+
+
+def test_compute_bounds_searches_the_clique_number_only_when_needed(monkeypatch):
+    """The χ search looks for the clique number only when its first
+    descent does not reach a known clique: never when χ is the lower
+    bound, though first-fit uses more colors, and once on a 5-cycle,
+    where χ = 3 is above ω = 2."""
+    calls = _count_calls(monkeypatch, "_max_clique_size")
+    report = compute_bounds(_first_fit_off_by_one())
+    assert (report.global_lower_bound, report.exact_chromatic) == (2, 2)
+    assert first_fit_baseline(_first_fit_off_by_one()).colors_used == 3
+    assert calls == {"_max_clique_size": 0}
+    report = compute_bounds(_five_cycle())
+    assert (report.clique_lower_bound, report.exact_chromatic) == (2, 3)
+    assert calls == {"_max_clique_size": 1}
 
 
 # SHA-256 over exact_chromatic's χ and witness and max_clique's size on a

@@ -607,11 +607,21 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _mutated(doc, data) -> str:
-    """`doc` with one node replaced, deleted or (in a list) duplicated."""
+def _mutated(doc, data) -> bytes:
+    """`doc` as UTF-8 JSON with one node replaced, deleted or (in a list)
+    duplicated, or its bytes cut short at an offset, or a byte that is
+    never valid UTF-8 there (the text is ASCII) inserted at one."""
+    op = data.draw(
+        st.sampled_from(["replace", "delete", "duplicate", "truncate", "non-utf-8"])
+    )
+    if op in ("truncate", "non-utf-8"):
+        raw = json.dumps(doc).encode()
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if op == "truncate":
+            return raw[:at]
+        return raw[:at] + bytes([data.draw(st.integers(0x80, 0xFF))]) + raw[at:]
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
-    op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
     if not path:
         doc = data.draw(JSON_VALUES)
     else:
@@ -625,12 +635,12 @@ def _mutated(doc, data) -> str:
             parent.insert(key, copy.deepcopy(parent[key]))
         else:
             parent[key] = data.draw(JSON_VALUES)
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    command=st.sampled_from(["color", "bound", "exact", "verify"]),
+    command=st.sampled_from(["color", "bound", "exact", "verify", "bench"]),
     vertices=st.integers(2, 7),
     count=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -638,11 +648,11 @@ def _mutated(doc, data) -> str:
 )
 def test_mutated_documents_never_raise(command, vertices, count, seed, data):
     """Every input document either works or exits 2 with a message: no
-    single-field mutation of a valid instance or coloring reaches a
-    traceback, and so none reaches the unchecked internal paths."""
+    single-field or single-byte mutation of a valid instance or coloring
+    reaches a traceback, and so none reaches the unchecked internal
+    paths."""
     inst = generate_instance(GenParams(vertices, 3, count, (1, 3), seed))
     inst_doc = json.loads(dumps_instance(inst))
-    inst_text = json.dumps(inst_doc)
     norm = normalize(inst)
     col_doc = json.loads(
         dumps_coloring(
@@ -650,20 +660,22 @@ def test_mutated_documents_never_raise(command, vertices, count, seed, data):
             original_count=norm.original_count,
         )
     )
-    col_text = json.dumps(col_doc)
+    inst_bytes, col_bytes = json.dumps(inst_doc).encode(), json.dumps(col_doc).encode()
     if command == "verify" and data.draw(st.booleans()):
-        col_text = _mutated(col_doc, data)
+        col_bytes = _mutated(col_doc, data)
     else:
-        inst_text = _mutated(inst_doc, data)
+        inst_bytes = _mutated(inst_doc, data)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         inst_path = Path(tmp) / "inst.json"
-        inst_path.write_text(inst_text, encoding="utf-8")
+        inst_path.write_bytes(inst_bytes)
         argv = [command, str(inst_path)]
         if command == "verify":
             col_path = Path(tmp) / "col.json"
-            col_path.write_text(col_text, encoding="utf-8")
+            col_path.write_bytes(col_bytes)
             argv.append(str(col_path))
+        elif command == "bench":
+            argv = [command, "--instance", str(inst_path)]
         elif command == "color":
             argv += ["--root", str(data.draw(st.integers(-1, 7)))]
             if data.draw(st.booleans()):

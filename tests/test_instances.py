@@ -149,9 +149,11 @@ def test_non_integer_ids_rejected_by_instance():
 
 
 def test_edges_and_arcs_that_are_not_pairs_rejected_by_instance():
-    """A wrong-arity or non-iterable edge or arc is a violation like any
-    other; each once escaped as a bare `ValueError` or `TypeError` from
-    unpacking it."""
+    """A wrong-arity or non-iterable edge or arc, and edges or arcs that
+    are not a sized collection, are a violation like any other; each once
+    escaped as a bare `ValueError` or `TypeError` from unpacking it, from
+    the loop over them or, for an iterator, from taking its length after
+    the loop had used it up.  Tuples and lists are read alike."""
     path = HostTree(2, ((0, 1),))
     cases = (
         (
@@ -170,10 +172,31 @@ def test_edges_and_arcs_that_are_not_pairs_rejected_by_instance():
             lambda: Instance(path, (RootedSubtree(0, (5,)),)),
             r"^invalid subtree 0: arc 5 is not a pair$",
         ),
+        (
+            lambda: Instance(HostTree(2, 5), ()),
+            r"^invalid host tree: edges of type int are not a collection$",
+        ),
+        (
+            lambda: Instance(HostTree(2, None), ()),
+            r"^invalid host tree: edges of type NoneType are not a collection$",
+        ),
+        (
+            lambda: Instance(path, (RootedSubtree(0, 5),)),
+            r"^invalid subtree 0: arcs of type int are not a collection$",
+        ),
+        (
+            lambda: Instance(path, (RootedSubtree(0, iter([(0, 1)])),)),
+            r"^invalid subtree 0: arcs of type list_iterator are not a collection$",
+        ),
     )
     for build, message in cases:
         with pytest.raises(InputError, match=message):
             build()
+    assert validate_subtree(path, RootedSubtree(0, 5)).violations == (
+        "arcs of type int are not a collection",
+    )
+    inst = Instance(HostTree(2, [[0, 1]]), (RootedSubtree(0, [[0, 1]]),))
+    assert inst.arc_positions == ((0,),)
 
 
 def test_list_arc_read_like_an_arc_by_instance():
