@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from treewave import (
     verify_coloring,
 )
 from treewave import harness
-from treewave.formats import dumps_instance
+from treewave.formats import dumps_instance, dumps_summary, records_to_csv
 from treewave.instances import Arc
 
 
@@ -286,3 +288,17 @@ class TestSweepAndBench:
         assert record.exact_chromatic is None
         assert record.baseline_colors is None
         assert record.lower_bound is None
+
+
+# SHA-256 over the CSV and summary line of the 300-instance seed-7 sweep
+# (263 records carry an exact optimum); recorded while the bench runner
+# computed its lower bound and optimum apart from `compute_bounds`, which
+# the shared path must reproduce byte for byte.
+BENCH_DIGEST = "63089c97f89630c271a8e154ceb6da46956e9b4d6f8ac0d92f0045f39d841ff9"
+
+
+def test_bench_sweep_matches_recorded_digest():
+    outcome = bench_run(sweep_items(SweepSpec(300, 7)))
+    assert sum(r.exact_chromatic is not None for r in outcome.records) == 263
+    text = records_to_csv(outcome.records) + dumps_summary(outcome.summary)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_DIGEST
