@@ -8,17 +8,19 @@ The conflict graph restricted to one host edge is the complement of a
 bipartite graph, so its chromatic number is exactly (population size)
 minus (maximum matching in the complement, counted by
 `matching._matching_size`); maximized over edges this gives the
-certified lower bound.  `compute_bounds` under its size guard reads each
-edge's complement rows from the conflict graph it builds for the exact
-oracles anyway; over the guard, and in `edge_lower_bound` and
-`global_lower_bound`, they come from arc positions (`_complement_rows`)
-and no graph is built.  A complement of a bipartite graph is perfect, so
-each per-edge bound is also the size of a clique, and the global bound
-is a floor for the clique number.  Exact chromatic number and clique
-number come from small branch-and-bound oracles behind explicit size
-guards.  The χ search stops at its first coloring with as many colors as
-a known clique has members, and searches for the clique number only when
-its first descent does not reach one.
+certified lower bound.  `_edge_bound` counts it from either row source:
+`compute_bounds` under its size guard reads each edge's complement rows
+from the conflict graph it builds for the exact oracles anyway; over the
+guard, and in `edge_lower_bound` and `global_lower_bound`, they come
+from arc positions (`_complement_rows`) and no graph is built.  The
+`bound` command and the bench runner both report `compute_bounds`.  A
+complement of a bipartite graph is perfect, so each per-edge bound is
+also the size of a clique, and the global bound is a floor for the
+clique number.  Exact chromatic number and clique number come from small
+branch-and-bound oracles behind explicit size guards.  The χ search
+stops at its first coloring with as many colors as a known clique has
+members, and searches for the clique number only when its first descent
+does not reach one.
 
 Padding to the load L changes neither χ nor the global lower bound, so
 both can be computed on the smaller, unpadded instance:
@@ -103,34 +105,34 @@ def edge_lower_bound(inst: Instance, edge: Sequence[int]) -> int:
     This is exact: each direction is a clique, color classes in the
     restriction have size at most 2, and classes of size 2 are exactly
     matched pairs in the bipartite complement.  The population comes from
-    one `edge_sides` read, which rejects a non-edge.  With one side empty
-    nothing can be matched, so the bound is the population (0 on an
-    unused edge); 3,449 of the 5,958 host edges of the seed-1 `sweep`
-    items are such edges.  Otherwise the complement's rows come from
-    `_complement_rows`, built from arc positions, and only the size of a
-    maximum matching in them is counted (`matching._matching_size`); no
-    graph and no pairs are built.  `compute_bounds` under its size guard
-    reads the same rows from the conflict graph instead.
-    """
-    fwd, bwd = edge_sides(inst, *edge)
+    one `edge_sides` read, which rejects a non-edge; `_edge_bound` counts
+    the colors from it."""
+    return _edge_bound(inst, *edge_sides(inst, *edge), None)
+
+
+def _edge_bound(
+    inst: Instance, fwd: Sequence[int], bwd: Sequence[int], masks: Sequence[int] | None
+) -> int:
+    """`edge_lower_bound` of the edge with sides `fwd` and `bwd`.
+
+    With one side empty nothing can be matched, so the bound is the
+    population (0 on an unused edge).  Otherwise only the size of a
+    maximum matching in the complement is counted: its rows come from
+    `_complement_rows`, by arc position, or, given the conflict graph's
+    `masks`, are ``R & ~masks[i]`` for R the mask of `bwd`'s subtree
+    indices, in the same order, so the matching is the same.  Of the
+    5,958 host edges of the seed-1 `sweep` items, 3,449 have an empty
+    side, 1,962 read the graph and 547 arc positions."""
     if not fwd or not bwd:
         return len(fwd) + len(bwd)
-    rows = _complement_rows(inst, fwd, bwd)
-    return len(fwd) + len(bwd) - _matching_size(rows, (1 << len(bwd)) - 1)
-
-
-def _graph_edge_bound(
-    masks: Sequence[int], fwd: Sequence[int], bwd: Sequence[int]
-) -> int:
-    """`edge_lower_bound` of the edge with sides `fwd` and `bwd`, its
-    complement rows read from the conflict graph's `masks`: with R the
-    mask of `bwd`'s subtree indices, left i's row is ``R & ~masks[i]``.
-    The rights are subtree indices rather than positions in `bwd`, in the
-    same ascending order, so the matching found is the same."""
-    right = 0
-    for j in bwd:
-        right |= 1 << j
-    rows = [right & ~masks[i] for i in fwd]
+    if masks is None:
+        rows = _complement_rows(inst, fwd, bwd)
+        right = (1 << len(bwd)) - 1
+    else:
+        right = 0
+        for j in bwd:
+            right |= 1 << j
+        rows = [right & ~masks[i] for i in fwd]
     return len(fwd) + len(bwd) - _matching_size(rows, right)
 
 
@@ -407,43 +409,43 @@ def first_fit_baseline(inst: Instance) -> Coloring:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Everything cheap we know about the colors an instance needs."""
+    """Everything cheap we know about the colors an instance needs;
+    `exact_witness` is an optimal coloring, present when χ is."""
 
     load: int
     per_edge_bound: Mapping[tuple[int, int], int]
     global_lower_bound: int
     clique_lower_bound: int | None = None
     exact_chromatic: int | None = None
+    exact_witness: Coloring | None = None
 
 
 def compute_bounds(inst: Instance, limit: int = ORACLE_GUARD) -> BoundsReport:
     """Bounds report; the exact quantities are skipped when over the guard.
 
-    Under the guard the conflict graph is built first, and each edge's
-    complement rows are read from it (`_graph_edge_bound`); over it they
-    come from arc positions, as in `edge_lower_bound`, and no graph is
-    built.  Clique number and χ both come from the exact χ search, which
+    Under the guard the conflict graph is built first, and `_edge_bound`
+    reads each edge's complement rows from it; over it they come from arc
+    positions, as in `edge_lower_bound`, and no graph is built.  Clique
+    number, χ and its witness all come from the exact χ search, which
     starts from the global lower bound as a known clique size: when
     first-fit or the search's first descent uses that many colors, the
-    coloring is optimal, χ is ω, and no clique is searched."""
-    g = build_conflict_graph(inst) if inst.size <= limit else None
+    coloring is optimal, χ is ω, and no clique is searched.  A negative
+    `limit` skips the exact quantities on every instance."""
+    masks = build_conflict_graph(inst).masks if inst.size <= limit else None
     per_edge = {
-        edge_key(u, v): (
-            edge_lower_bound(inst, (u, v))
-            if g is None
-            else _graph_edge_bound(g.masks, *edge_sides(inst, u, v))
-        )
+        edge_key(u, v): _edge_bound(inst, *edge_sides(inst, u, v), masks)
         for u, v in inst.tree.edges
     }
     glb = max(per_edge.values(), default=0)
-    clique = None
-    chi = None
-    if g is not None:
-        chi, _, clique = _chromatic_number(g.n, g.masks, glb)
+    clique = chi = witness = None
+    if masks is not None:
+        chi, colors, clique = _chromatic_number(len(masks), masks, glb)
+        witness = Coloring(tuple(colors))
     return BoundsReport(
         load=load(inst),
         per_edge_bound=per_edge,
         global_lower_bound=glb,
         clique_lower_bound=clique,
         exact_chromatic=chi,
+        exact_witness=witness,
     )

@@ -133,8 +133,10 @@ def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
 
 
 def dumps_bounds(report: BoundsReport) -> str:
-    """Bounds document: the report's fields in order, edges keyed `u-v`."""
+    """Bounds document: the report's fields in order, edges keyed `u-v`,
+    without the exact witness."""
     doc = dataclasses.asdict(report)
+    del doc["exact_witness"]
     edges = sorted(doc["per_edge_bound"].items())
     doc["per_edge_bound"] = {f"{u}-{v}": b for (u, v), b in edges}
     return _dumps(doc)

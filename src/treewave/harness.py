@@ -7,8 +7,9 @@ with the exact optimum (where the oracle's size guard allows) and with
 the matching lower bound.  The greedy runs on the normalized instance,
 which its analysis needs; the optimum and the lower bound, which padding
 does not change (see `bounds`), are computed on the smaller instance as
-given.  A verification failure or a greedy/exact ratio above 5/2 fails
-the whole run.
+given, by one `compute_bounds` call as in the `bound` command; over the
+exact guard a negative limit makes it skip the optimum.  A verification
+failure or a greedy/exact ratio above 5/2 fails the whole run.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bounds import (
-    ORACLE_GUARD,
-    exact_chromatic,
-    first_fit_baseline,
-    global_lower_bound,
-    normalize,
-)
-from .conflict import build_conflict_graph
+from .bounds import ORACLE_GUARD, compute_bounds, first_fit_baseline, normalize
 from .greedy import GreedyResult, greedy_color
 from .instances import (
     Arc,
@@ -280,11 +274,12 @@ def bench_run(
 
     The greedy colors the padded instance, and its coloring and round
     bound are checked there; the baseline, the lower bound and the exact
-    optimum run on the instance as given, and the exact witness is
-    verified on it.  Padding changes neither the optimum nor the bound,
-    so every record equals one scored on the padded instance.  The exact
-    guard compares the padded size with `exact_limit`, so which records
-    carry an optimum does not depend on the instance it is computed on.
+    optimum (one `compute_bounds` call) run on the instance as given, and
+    the exact witness is verified on it.  Padding changes neither the
+    optimum nor the bound, so every record equals one scored on the
+    padded instance.  The exact guard compares the padded size with
+    `exact_limit`, so which records carry an optimum does not depend on
+    the instance it is computed on.
 
     Records come back sorted by instance id.  Failures (invalid colorings,
     round-bound violations, ratios above 5/2) do not stop the sweep; they
@@ -301,10 +296,6 @@ def bench_run(
         norm = normalize(inst)
         padded = norm.padded
         load_value = load(inst)
-
-        lower = None
-        if "bounds" in solvers:
-            lower = global_lower_bound(inst)
 
         greedy_padded = greedy_original = None
         if "greedy" in solvers:
@@ -324,11 +315,14 @@ def bench_run(
             _check_valid(failures, item, "baseline coloring", inst, base)
             baseline_colors = base.colors_used
 
-        chi = None
-        if "exact" in solvers and padded.size <= exact_limit:
-            g = build_conflict_graph(inst)
-            chi, witness = exact_chromatic(g, exact_limit)
-            _check_valid(failures, item, "exact witness", inst, witness)
+        lower = chi = None
+        exact = "exact" in solvers and padded.size <= exact_limit
+        if exact or "bounds" in solvers:
+            report = compute_bounds(inst, exact_limit if exact else -1)
+            lower = report.global_lower_bound if "bounds" in solvers else None
+            chi = report.exact_chromatic
+            if exact:
+                _check_valid(failures, item, "exact witness", inst, report.exact_witness)
 
         ratio_exact = None
         if chi is not None and chi > 0 and greedy_padded is not None:

@@ -656,6 +656,8 @@ def test_compute_bounds_respects_guard(p3_demo):
     report = compute_bounds(p3_demo, limit=1)
     assert report.clique_lower_bound is None
     assert report.exact_chromatic is None
+    assert report.exact_witness is None
+    assert compute_bounds(p3_demo, limit=-1).exact_witness is None
 
 
 
@@ -774,10 +776,10 @@ def test_compute_bounds_equals_the_public_oracles(monkeypatch):
     a 5-cycle, a triangle across three edges, an instance with duplicates
     and an edge with one side empty, one that first-fit overcolors and one
     whose first descent falls short, reaching every return of the χ
-    search: the report's clique number and χ are `max_clique` and
-    `exact_chromatic` of the conflict graph, and its per-edge bounds, read
-    from the conflict graph under the guard and from complement rows over
-    it, are `edge_lower_bound` and `global_lower_bound`."""
+    search: the report's clique number, χ and witness are `max_clique`
+    and `exact_chromatic` of the conflict graph, and its per-edge bounds,
+    read from the conflict graph under the guard and from complement rows
+    over it, are `edge_lower_bound` and `global_lower_bound`."""
     rng = random.Random(2018)
     instances = [
         _five_cycle(),
@@ -809,7 +811,7 @@ def test_compute_bounds_equals_the_public_oracles(monkeypatch):
         report = compute_bounds(inst)
         searched = calls["_max_clique_size"] > 0
         assert report.clique_lower_bound == max_clique(g)
-        assert report.exact_chromatic == exact_chromatic(g)[0]
+        assert (report.exact_chromatic, report.exact_witness) == exact_chromatic(g)
         exits[_chromatic_exit(g, report.global_lower_bound, searched)] += 1
         edges = inst.tree.edges
         per_edge = {edge_key(u, v): edge_lower_bound(inst, (u, v)) for u, v in edges}

@@ -20,6 +20,7 @@ from treewave import (
     exact_chromatic,
     first_fit_baseline,
     generate_instance,
+    global_lower_bound,
     greedy_color,
     load,
     normalize,
@@ -30,7 +31,8 @@ from treewave import (
     validate_tree,
     verify_coloring,
 )
-from treewave import harness
+from treewave import bounds, harness
+from treewave.bounds import ORACLE_GUARD, BoundsReport
 from treewave.formats import dumps_instance, dumps_summary, records_to_csv
 from treewave.instances import Arc
 
@@ -266,7 +268,11 @@ class TestSweepAndBench:
             harness, "first_fit_baseline", lambda inst: all_ones(inst.size)
         )
         monkeypatch.setattr(
-            harness, "exact_chromatic", lambda g, limit: (1, all_ones(g.n))
+            harness,
+            "compute_bounds",
+            lambda inst, limit: BoundsReport(
+                1, {}, 1, 1, exact_chromatic=1, exact_witness=all_ones(inst.size)
+            ),
         )
         twice = RootedSubtree.of(0, [[0, 1]])
         outcome = bench_run([BenchItem(0, None, Instance(p3_tree, (twice, twice)))])
@@ -277,17 +283,51 @@ class TestSweepAndBench:
             f"instance 0: exact witness {where}",
         )
 
+    def test_exact_search_starts_from_the_lower_bound(self, monkeypatch):
+        """Sweep item 139 of seed 7 is within the exact guard, and first-fit
+        colors it with as many colors as its lower bound, which is more
+        than the greedy clique has members: the χ search, started from the
+        lower bound, stops at first-fit without searching the clique
+        number."""
+        inst = sweep_items(SweepSpec(140, 7))[139].instance
+        g = build_conflict_graph(inst)
+        first_fit = len(bounds._first_fit_classes((1 << g.n) - 1, g.masks))
+        clique = len(bounds._greedy_clique(g.n, g.masks))
+        assert normalize(inst).padded.size <= ORACLE_GUARD
+        assert (first_fit, global_lower_bound(inst), clique) == (3, 3, 2)
+        calls = []
+        search = bounds._max_clique_size
+        monkeypatch.setattr(
+            bounds, "_max_clique_size", lambda *a: calls.append(a) or search(*a)
+        )
+        record = bench_run([BenchItem(139, None, inst)]).records[0]
+        assert (record.lower_bound, record.exact_chromatic) == (3, 3)
+        assert calls == []
+
     def test_unknown_solver_rejected(self, p3_demo):
         with pytest.raises(InputError):
             bench_run([BenchItem(0, None, p3_demo)], solvers=("nope",))
 
     def test_solver_subset(self, p3_demo):
-        outcome = bench_run([BenchItem(0, None, p3_demo)], solvers=("greedy",))
-        record = outcome.records[0]
-        assert record.greedy_colors_padded is not None
-        assert record.exact_chromatic is None
-        assert record.baseline_colors is None
-        assert record.lower_bound is None
+        """Each solver fills only its own columns.  p3_demo has 3 subtrees
+        and 7 once padded, so an exact limit of 3 leaves the optimum out
+        although the instance as given is within it."""
+        cases = [
+            (("greedy",), ORACLE_GUARD, None, None),
+            (("bounds",), ORACLE_GUARD, 2, None),
+            (("exact",), ORACLE_GUARD, None, 2),
+            (("exact",), 3, None, None),
+            (("bounds", "exact"), 3, 2, None),
+        ]
+        for solvers, exact_limit, lower, chi in cases:
+            outcome = bench_run(
+                [BenchItem(0, None, p3_demo)], solvers=solvers, exact_limit=exact_limit
+            )
+            record = outcome.records[0]
+            assert outcome.ok
+            assert (record.greedy_colors_padded is not None) == ("greedy" in solvers)
+            assert record.baseline_colors is None
+            assert (record.lower_bound, record.exact_chromatic) == (lower, chi)
 
 
 # SHA-256 over the CSV and summary line of the 300-instance seed-7 sweep
