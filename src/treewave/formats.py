@@ -2,7 +2,17 @@
 
 Serialization is bit-exact by construction: fixed key order, compact
 separators, a single trailing newline, no whitespace variation.  Golden
-file tests depend on this.  Loading checks each value's shape first.
+file tests depend on this.
+
+Loading an instance reads the parsed document in one accepting walk: it
+checks each value once, only under the documented keys, and builds the
+host tree, the arcs, the subtrees and both arc tables as it goes, with
+the package's lean passes (`instances._walk_tree`, `_walk_subtree`).
+Only a document the walk gives up on is read again, by the naming pass:
+the nesting rule, then each value's shape in document order, then
+`Instance(...)`, which names the first defect.  The naming pass alone
+decides what is rejected and with which message; a document the walk
+accepts is one the naming pass accepts, as the same instance.
 """
 
 from __future__ import annotations
@@ -12,9 +22,14 @@ import itertools
 import json
 from typing import Mapping, Sequence
 
+from . import instances
 from .bounds import BoundsReport
 from .harness import BenchRecord
 from .instances import Arc, HostTree, InputError, Instance, RootedSubtree
+
+# Arrays and objects may nest at most this deep in a document; a valid
+# instance nests 5 levels, a valid coloring 2.
+MAX_DEPTH = 32
 
 
 def _dumps(doc) -> str:
@@ -84,6 +99,19 @@ def _parse_json(text: str, what: str):
         raise InputError(f"{what} document holds an integer too long to read") from e
 
 
+def _check_depth(doc, what: str) -> None:
+    """Refuse a `what` document whose arrays and objects nest deeper than
+    `MAX_DEPTH`, level by level in a loop, so the rule depends on the
+    document alone and not on the caller's stack."""
+    level = [doc]
+    for _ in range(MAX_DEPTH + 1):
+        level = [v for v in level if type(v) is list or type(v) is dict]
+        if not level:
+            return
+        level = [c for v in level for c in (v.values() if type(v) is dict else v)]
+    raise InputError(f"{what} document is nested too deeply")
+
+
 def _subtree(doc) -> RootedSubtree:
     _checked(doc, dict)
     root = _field(doc, "root", int)
@@ -91,10 +119,45 @@ def _subtree(doc) -> RootedSubtree:
     return RootedSubtree(root, arcs)
 
 
+def _walked_instance(doc) -> Instance | None:
+    """The instance of a valid document that holds only the documented
+    keys, built in one walk, or None at the first irregularity."""
+    if type(doc) is not dict or len(doc) != 2:
+        return None
+    tree_doc, subtree_docs = doc.get("tree"), doc.get("subtrees")
+    if type(tree_doc) is not dict or len(tree_doc) != 2 or type(subtree_docs) is not list:
+        return None
+    vertices, edge_docs = tree_doc.get("vertices"), tree_doc.get("edges")
+    position = instances._walk_tree(vertices, edge_docs)
+    if position is None:
+        return None
+    tree = HostTree(vertices, tuple(map(tuple, edge_docs)))
+    tree.__dict__["arc_position"] = position
+    walk = instances._walk_subtree
+    subtrees = []
+    positions = []
+    for s in subtree_docs:
+        if type(s) is not dict or len(s) != 2:
+            return None
+        root = s.get("root")
+        walked = walk(position, root, s.get("arcs"))
+        if walked is None:
+            return None
+        positions.append(walked[0])
+        subtrees.append(RootedSubtree(root, walked[1]))
+    return Instance._trusted(tree, tuple(subtrees), arc_positions=tuple(positions))
+
+
 def loads_instance(text: str) -> Instance:
-    """Values are checked in document order, edges before `vertices` and
-    each root before its arcs, so the first defect is the one named."""
+    """The instance of an instance document, from one accepting walk.
+    Where the walk gives up, the naming pass checks the nesting depth and
+    then values in document order, edges before `vertices` and each root
+    before its arcs, so the first defect is the one named."""
     doc = _parse_json(text, "instance")
+    inst = _walked_instance(doc)
+    if inst is not None:
+        return inst
+    _check_depth(doc, "instance")
     try:
         _checked(doc, dict)
         tree_doc = _field(doc, "tree", dict)
@@ -119,6 +182,7 @@ def dumps_coloring(colors: Sequence[int], original_count: int | None = None) -> 
 def loads_coloring(text: str) -> tuple[list[int], list[int] | None]:
     """Returns (colors, original_colors or None)."""
     doc = _parse_json(text, "coloring")
+    _check_depth(doc, "coloring")
     try:
         _checked(doc, dict)
         colors = [_checked(c, int) for c in _field(doc, "colors", list)]

@@ -150,6 +150,51 @@ def validate_tree(tree: HostTree) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def _walk_tree(n, edges) -> dict[tuple[int, int], int] | None:
+    """`HostTree.arc_position` of a valid host tree, built by a lean
+    accepting pass that checks the tree as it goes, or None at the first
+    irregularity, when `validate_tree` names it.
+
+    The pass gets through when the vertex count is an exact `int` and the
+    edges, a tuple or list of n - 1 of them (so n is at least 1), are each a
+    tuple or list of two exact `int`s in range that joins two components
+    not yet joined (union-find with path halving, linking the second
+    endpoint's component under the first's, which keeps a tree drawn
+    parent first shallow).  So there is no self-loop or repeated edge, and
+    n - 1 joins leave one component: a tree.  A valid tree given so always
+    gets through.
+    """
+    if type(n) is not int:
+        return None
+    if type(edges) is not tuple and type(edges) is not list or len(edges) != n - 1:
+        return None
+    parent = list(range(n))
+    position = {}
+    p = 0
+    for e in edges:
+        if type(e) is not tuple and type(e) is not list or len(e) != 2:
+            return None
+        u, v = e
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            return None
+        a, b = u, v
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            return None
+        parent[b] = a
+        if u < v:
+            position[u, v] = p
+            position[v, u] = p + 1
+        else:
+            position[v, u] = p
+            position[u, v] = p + 1
+        p += 2
+    return position
+
+
 @dataclass(frozen=True)
 class RootedSubtree:
     """One light tree: root plus directed arcs forming an out-arborescence."""
@@ -163,52 +208,63 @@ class RootedSubtree:
 
 
 def _walk_subtree(
-    position: Mapping[tuple[int, int], int], s: RootedSubtree
-) -> tuple[Sequence[str], tuple[int, ...]]:
-    """A subtree's violations, in `validate_subtree`'s order, and the
-    positions (`HostTree.arc_position`) of its arcs.
+    position: Mapping[tuple[int, int], int], root, arcs
+) -> tuple[tuple[int, ...], tuple[Arc, ...]] | None:
+    """The positions (`HostTree.arc_position`) of a valid subtree's arcs
+    and its arcs as a tuple of `Arc`s, from a lean accepting pass, or None
+    at the first irregularity, when `_violations` walks the arcs again to
+    name them.
 
-    A lean accepting pass runs first and returns no violations and the
-    positions as soon as it gets through: the arcs a tuple, every arc an
-    `Arc` of two exact `int`s on a host edge, no skeleton edge twice, the
-    root a tail and every tail a head or the root.  Then the k arcs lie on
-    k distinct host edges, a forest on at least k + 1 vertices, all of
+    The arcs are taken either as a `RootedSubtree` holds them, a tuple of
+    `Arc`s (returned as they are), or as an instance document holds them,
+    a list of two-element lists (each built into an `Arc` on the way).
+    The pass gets through when the root is an exact `int`, every arc has
+    two exact `int`s on a host edge, no skeleton edge is used twice, the
+    root is a tail and every tail a head or the root.  Then the k arcs lie
+    on k distinct host edges, a forest on at least k + 1 vertices, all of
     them among the root and the k heads; so the heads are distinct and not
     the root, and the forest is one tree, out from the root: the subtree
-    is valid.  A valid one whose arcs are a tuple of `Arc`s always gets
-    through.  At its first irregularity the pass gives up and
-    `_violations` walks the arcs again to name them.
+    is valid.  A valid subtree in either form always gets through.
     """
-    root, arcs = s.root, s.arcs
-    if type(root) is int and type(arcs) is tuple:
-        heads = {root}
-        tails = set()
-        skeleton = set()
-        row = []
-        for a in arcs:
-            if type(a) is not Arc:
-                break
-            t, h = a
-            if type(t) is not int or type(h) is not int:
-                break
-            p = position.get(a)
-            if p is None or p >> 1 in skeleton:
-                break
-            heads.add(h)
-            tails.add(t)
-            skeleton.add(p >> 1)
-            row.append(p)
-        else:
-            if root in tails and tails <= heads:
-                return (), tuple(row)
-    return _violations(position, s)
+    if type(arcs) is tuple:
+        kind = Arc
+    elif type(arcs) is list:
+        kind = list
+    else:
+        return None
+    if type(root) is not int:
+        return None
+    heads = {root}
+    tails = set()
+    skeleton = set()
+    row = []
+    walked = []
+    for a in arcs:
+        if type(a) is not kind or len(a) != 2:
+            return None
+        if kind is list:
+            a = tuple.__new__(Arc, a)
+            walked.append(a)
+        t, h = a
+        if type(t) is not int or type(h) is not int:
+            return None
+        p = position.get(a)
+        if p is None or p >> 1 in skeleton:
+            return None
+        heads.add(h)
+        tails.add(t)
+        skeleton.add(p >> 1)
+        row.append(p)
+    if root in tails and tails <= heads:
+        return tuple(row), arcs if kind is Arc else tuple(walked)
+    return None
 
 
 def _violations(
     position: Mapping[tuple[int, int], int], s: RootedSubtree
 ) -> tuple[list[str], tuple[int, ...]]:
-    """One pass over a subtree's arcs: `_walk_subtree`'s result, with every
-    violation named.
+    """One pass over a subtree's arcs: its violations, in
+    `validate_subtree`'s order, and the positions of its arcs.
 
     The arcs must be a sized collection, such as a tuple or a list, an arc
     a pair, and a root or arc endpoint exactly an `int`: a `bool` or a
@@ -280,7 +336,9 @@ def _violations(
 
 def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
     """Check one rooted subtree against its host tree."""
-    violations, _ = _walk_subtree(tree.arc_position, s)
+    position = tree.arc_position
+    walked = _walk_subtree(position, s.root, s.arcs)
+    violations = () if walked else _violations(position, s)[0]
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -292,26 +350,42 @@ class Instance:
     restriction, `HostTree.degree_ok`, which only the greedy's
     `bfs_edge_order` enforces (generators, lower bounds and the exact
     oracles are degree-agnostic).  Input is validated once, where it
-    enters; the same walk over each subtree's arcs gives `arc_positions`,
-    and `arc_members` is built from it at once.  `Instance._trusted` skips
-    the checks and is only for producers inside the package whose output
-    is valid by construction (`normalize` padding a validated instance,
-    handing over both tables; `generate_instance` growing a tree and its
-    subtrees, whose tables are built on first use, as most generated inputs
-    are only written out as text and eager tables cost 8-17% of generation).
+    enters, by lean accepting passes that build what they check:
+    `_walk_tree` gives the tree's `arc_position` (seeded into the tree
+    unless it holds one) and `_walk_subtree` each subtree's row of
+    `arc_positions`; `arc_members` is built from them at once.  Where a
+    pass gives up, `validate_tree` or `_violations` names the violations,
+    or accepts a valid tree or subtree given in another form (arcs as
+    plain tuples, say).  `formats.loads_instance` runs the same passes
+    over a parsed document and hands the positions to `Instance._trusted`.
+    Otherwise `_trusted` is only for producers inside the package whose
+    output is valid by construction (`normalize` padding a validated
+    instance, handing over both tables; `generate_instance` growing a tree
+    and its subtrees, whose tables are built on first use, as most
+    generated inputs are only written out as text and eager tables cost
+    8-17% of generation).
     """
 
     tree: HostTree
     subtrees: tuple[RootedSubtree, ...]
 
     def __post_init__(self) -> None:
-        rep = validate_tree(self.tree)
-        if not rep.ok:
-            raise InputError("invalid host tree: " + "; ".join(rep.violations))
-        position = self.tree.arc_position
+        tree = self.tree
+        position = _walk_tree(tree.vertices, tree.edges)
+        if position is None:
+            rep = validate_tree(tree)
+            if not rep.ok:
+                raise InputError("invalid host tree: " + "; ".join(rep.violations))
+            position = tree.arc_position
+        else:
+            position = tree.__dict__.setdefault("arc_position", position)
         positions = []
         for i, s in enumerate(self.subtrees):
-            violations, row = _walk_subtree(position, s)
+            walked = _walk_subtree(position, s.root, s.arcs)
+            if walked:
+                positions.append(walked[0])
+                continue
+            violations, row = _violations(position, s)
             if violations:
                 raise InputError(f"invalid subtree {i}: " + "; ".join(violations))
             positions.append(row)
@@ -328,17 +402,20 @@ class Instance:
     ) -> "Instance":
         """An instance built without validation, optionally with its arc tables.
 
-        The caller guarantees what `__post_init__` would check and, when
-        it hands over `arc_members` and `arc_positions` (both or neither),
-        that they equal the tables this instance would compute.  Never
-        call it on data that came from outside the package.
+        The caller guarantees what `__post_init__` would check, having
+        built the instance itself or checked it with the same passes, and
+        that any table it hands over equals the one this instance would
+        compute.  `arc_members` comes only with `arc_positions`; given the
+        positions alone, it is built from them at once.
         """
         inst = object.__new__(cls)
         object.__setattr__(inst, "tree", tree)
         object.__setattr__(inst, "subtrees", subtrees)
-        if arc_members is not None:
-            inst.__dict__["arc_members"] = arc_members
+        if arc_positions is not None:
             inst.__dict__["arc_positions"] = arc_positions
+            if arc_members is not None:
+                inst.__dict__["arc_members"] = arc_members
+            inst.arc_members  # built now unless handed over: hold both tables
         return inst
 
     @cached_property

@@ -13,7 +13,9 @@ chromatic and clique searches, whose results the package must equal;
 whose colors the package's first-fit classes must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
 `edge_complement_bipartite`; `validate_subtree_reference`, the subtree
-validator as first written; `tree_edges_reference`, the generator's
+validator as first written; `loads_instance_reference`, the instance
+loader as it was before it read a document in one walk: a shape pass,
+then the tree and subtree checks; `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex; and
 `classify_edge_reference`, the round classifier as first written, which
 rebuilds each round's sibling lists from the edges' round positions and
@@ -31,16 +33,21 @@ adjacency and edge lists.
 from __future__ import annotations
 
 import itertools
+import json
 from typing import NamedTuple, Sequence
 
 from treewave import (
+    Arc,
     BipartiteGraph,
     ConflictGraph,
     HostTree,
     InputError,
+    Instance,
     InternalError,
     LimitError,
+    RootedSubtree,
     edge_complement_bipartite,
+    validate_tree,
 )
 from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.instances import ValidationReport, edge_key
@@ -542,6 +549,79 @@ def validate_subtree_reference(tree, s) -> ValidationReport:
         if reached != vertex_set:
             violations.append("skeleton not connected from root along arc directions")
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _brief_reference(value) -> str:
+    text = "".join(itertools.islice(json.JSONEncoder().iterencode(value), 41))
+    kind = {dict: "object", list: "array", str: "string"}.get(type(value), "number")
+    return text if len(text) <= 40 else f"a long JSON {kind}"
+
+
+def _checked_reference(value, cls: type):
+    if type(value) is not cls:
+        shape = {dict: "an object", list: "an array", int: "an integer"}[cls]
+        raise InputError(f"expected {shape}, got {_brief_reference(value)}")
+    return value
+
+
+def _field_reference(doc: dict, key: str, cls: type):
+    if key not in doc:
+        raise InputError(f"missing key {key!r}")
+    return _checked_reference(doc[key], cls)
+
+
+def _pair_reference(value, cls: type[tuple]) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2:
+        raise InputError(f"expected a pair of integers, got {_brief_reference(value)}")
+    for endpoint in value:
+        _checked_reference(endpoint, int)
+    return tuple.__new__(cls, value)
+
+
+def _subtree_reference(doc) -> RootedSubtree:
+    _checked_reference(doc, dict)
+    root = _field_reference(doc, "root", int)
+    arcs = tuple([_pair_reference(a, Arc) for a in _field_reference(doc, "arcs", list)])
+    return RootedSubtree(root, arcs)
+
+
+def loads_instance_reference(text: str) -> Instance:
+    """The instance loader before it read a document in one walk, with
+    every message it gave: the JSON parse, a shape pass over the parsed
+    document in document order (edges before `vertices`, each root before
+    its arcs), then `validate_tree` and, per subtree,
+    `validate_subtree_reference`.  It has no nesting rule of its own; a
+    document deeper than the parser's stack is `nested too deeply`.  The
+    instance is built unchecked, so its arc tables, and the tree's
+    `arc_position` and `arcs`, are computed on first use."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"instance document is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise InputError("instance document is nested too deeply") from e
+    except ValueError as e:
+        raise InputError("instance document holds an integer too long to read") from e
+    try:
+        _checked_reference(doc, dict)
+        tree_doc = _field_reference(doc, "tree", dict)
+        edges = tuple(
+            [_pair_reference(e, tuple) for e in _field_reference(tree_doc, "edges", list)]
+        )
+        tree = HostTree(_field_reference(tree_doc, "vertices", int), edges)
+        subtrees = tuple(
+            [_subtree_reference(s) for s in _field_reference(doc, "subtrees", list)]
+        )
+    except InputError as e:
+        raise InputError(f"malformed instance document: {e}") from e
+    rep = validate_tree(tree)
+    if not rep.ok:
+        raise InputError("invalid host tree: " + "; ".join(rep.violations))
+    for i, s in enumerate(subtrees):
+        rep = validate_subtree_reference(tree, s)
+        if not rep.ok:
+            raise InputError(f"invalid subtree {i}: " + "; ".join(rep.violations))
+    return Instance._trusted(tree, subtrees)
 
 
 def labeled_trees(n: int):

@@ -159,9 +159,9 @@ class TestNormalize:
         calls = []
         walk = instances._walk_subtree
 
-        def counting(position, s):
-            calls.append(s)
-            return walk(position, s)
+        def counting(position, root, arcs):
+            calls.append(arcs)
+            return walk(position, root, arcs)
 
         monkeypatch.setattr(instances, "_walk_subtree", counting)
         inst = generate_instance(GenParams(12, 3, 15, (1, 4), seed=3))

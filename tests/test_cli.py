@@ -25,7 +25,7 @@ from treewave import (
     normalize,
 )
 from treewave.cli import main
-from treewave.formats import dumps_coloring, dumps_instance
+from treewave.formats import MAX_DEPTH, dumps_coloring, dumps_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -400,6 +400,11 @@ HUGE_INT_TEXT = '{"tree":{"vertices":' + "9" * 5000 + ',"edges":[]},"subtrees":[
 HUGE_COLOR_TEXT = '{"colors":[' + "9" * 5000 + ",1,2]}"
 
 
+def _nested(levels: int) -> str:
+    """An array nested `levels` deep: `[[...]]`."""
+    return "[" * levels + "]" * levels
+
+
 @pytest.mark.parametrize(
     "command, instance_text, coloring_text",
     [
@@ -553,9 +558,31 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
             id="coloring_string",
         ),
         pytest.param(
-            "verify", P3_TEXT, '{"colors":[' + "[" * 500 + "]" * 500 + "]}",
+            "verify", P3_TEXT, '{"colors":[' + _nested(500) + "]}",
+            "coloring document is nested too deeply", id="deep_color",
+        ),
+        # the document object and the colors array are two levels, the
+        # document object, the subtrees array and a subtree object three
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[' + _nested(MAX_DEPTH - 1) + "]}",
+            "coloring document is nested too deeply", id="color_over_depth_limit",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":[' + _nested(MAX_DEPTH - 2) + "]}",
             "malformed coloring document: expected an integer, got a long JSON array",
-            id="deep_color",
+            id="color_at_depth_limit",
+        ),
+        pytest.param(
+            "color",
+            '{"tree":{"vertices":2,"edges":[[0,1]]},'
+            f'"subtrees":[{{"root":{_nested(MAX_DEPTH - 2)},"arcs":[[0,1]]}}]}}',
+            None,
+            "instance document is nested too deeply",
+            id="root_over_depth_limit",
+        ),
+        pytest.param(
+            "bound", P3_TEXT[:-1] + f',"note":{_nested(MAX_DEPTH)}}}', None,
+            "instance document is nested too deeply", id="extra_key_over_depth_limit",
         ),
         pytest.param(
             "color",
