@@ -6,10 +6,11 @@ file tests depend on this.
 
 Loading an instance reads the parsed document in one accepting walk: it
 checks each value once, only under the documented keys, and builds the
-host tree, the arcs, the subtrees and both arc tables as it goes, with
-the package's lean passes (`instances._walk_tree`, `_walk_subtree`).
-Only a document the walk gives up on is read again, by the naming pass:
-the nesting rule, then each value's shape in document order, then
+host tree (the one place its `arc_position` is seeded), the arcs, the
+subtrees and both arc tables as it goes, with the lean walks that read
+only documents (`instances._walk_tree`, `_walk_subtree`).  Only a
+document the walk gives up on is read again, by the naming pass: the
+nesting rule, then each value's shape in document order, then
 `Instance(...)`, which names the first defect.  The naming pass alone
 decides what is rejected and with which message; a document the walk
 accepts is one the naming pass accepts, as the same instance.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from typing import Mapping, Sequence
 
 from . import instances
@@ -30,6 +32,8 @@ from .instances import Arc, HostTree, InputError, Instance, RootedSubtree
 # Arrays and objects may nest at most this deep in a document; a valid
 # instance nests 5 levels, a valid coloring 2.
 MAX_DEPTH = 32
+# all but the brackets outside strings (a string cut short runs to the end)
+_NOT_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"?|[^\[\]{}"]+', re.DOTALL)
 
 
 def _dumps(doc) -> str:
@@ -92,11 +96,25 @@ def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
+        if _nests_too_deeply(text[: e.pos]):
+            raise InputError(f"{what} document is nested too deeply") from e
         raise InputError(f"{what} document is not valid JSON: {e}") from e
     except RecursionError as e:
         raise InputError(f"{what} document is nested too deeply") from e
     except ValueError as e:  # an integer past the digit limit (4,300 by default)
         raise InputError(f"{what} document holds an integer too long to read") from e
+
+
+def _nests_too_deeply(text: str) -> bool:
+    """Whether JSON text read up to a parse error opens arrays and objects
+    deeper than `MAX_DEPTH` (brackets in strings not counted); the error
+    path alone runs it, so the caller's stack never decides the message."""
+    depth = 0
+    for c in _NOT_BRACKETS.sub("", text):
+        depth += 1 if c in "[{" else -1
+        if depth > MAX_DEPTH:
+            return True
+    return False
 
 
 def _check_depth(doc, what: str) -> None:

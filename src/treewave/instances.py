@@ -13,6 +13,11 @@ k of its edge list has its (min,max) arc at 2k and its (max,min) arc at
 The host tree has no edge test of its own; `edge_sides` is the one check
 that a vertex pair is a host edge.
 
+One implementation per job at the input boundary: `validate_tree` and
+`_violations` check and number every tree and subtree built in the
+library, and `_walk_tree` and `_walk_subtree` read only the lists of a
+parsed instance document, for `formats.loads_instance`.
+
 All types are immutable after construction and safe to share across
 threads.
 """
@@ -151,28 +156,25 @@ def validate_tree(tree: HostTree) -> ValidationReport:
 
 
 def _walk_tree(n, edges) -> dict[tuple[int, int], int] | None:
-    """`HostTree.arc_position` of a valid host tree, built by a lean
-    accepting pass that checks the tree as it goes, or None at the first
-    irregularity, when `validate_tree` names it.
+    """`HostTree.arc_position` of a valid host tree as an instance
+    document holds it, from a lean accepting pass that checks the tree as
+    it goes, or None at the first irregularity, left to `validate_tree`.
 
     The pass gets through when the vertex count is an exact `int` and the
-    edges, a tuple or list of n - 1 of them (so n is at least 1), are each a
-    tuple or list of two exact `int`s in range that joins two components
-    not yet joined (union-find with path halving, linking the second
-    endpoint's component under the first's, which keeps a tree drawn
-    parent first shallow).  So there is no self-loop or repeated edge, and
-    n - 1 joins leave one component: a tree.  A valid tree given so always
-    gets through.
+    edges, a list of n - 1 of them (so n is at least 1), are each a list
+    of two exact `int`s in range that joins two components not yet joined
+    (union-find with path halving, linking the second endpoint's component
+    under the first's, which keeps a tree drawn parent first shallow).  So
+    there is no self-loop or repeated edge, and n - 1 joins leave one
+    component: a tree.  A valid tree given so always gets through.
     """
-    if type(n) is not int:
-        return None
-    if type(edges) is not tuple and type(edges) is not list or len(edges) != n - 1:
+    if type(n) is not int or type(edges) is not list or len(edges) != n - 1:
         return None
     parent = list(range(n))
     position = {}
     p = 0
     for e in edges:
-        if type(e) is not tuple and type(e) is not list or len(e) != 2:
+        if type(e) is not list or len(e) != 2:
             return None
         u, v = e
         if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
@@ -211,28 +213,19 @@ def _walk_subtree(
     position: Mapping[tuple[int, int], int], root, arcs
 ) -> tuple[tuple[int, ...], tuple[Arc, ...]] | None:
     """The positions (`HostTree.arc_position`) of a valid subtree's arcs
-    and its arcs as a tuple of `Arc`s, from a lean accepting pass, or None
-    at the first irregularity, when `_violations` walks the arcs again to
-    name them.
+    and its arcs as a tuple of `Arc`s, from a lean accepting pass over the
+    arcs as an instance document holds them, a list of two-element lists,
+    or None at the first irregularity, when `_violations` names it.
 
-    The arcs are taken either as a `RootedSubtree` holds them, a tuple of
-    `Arc`s (returned as they are), or as an instance document holds them,
-    a list of two-element lists (each built into an `Arc` on the way).
     The pass gets through when the root is an exact `int`, every arc has
     two exact `int`s on a host edge, no skeleton edge is used twice, the
     root is a tail and every tail a head or the root.  Then the k arcs lie
     on k distinct host edges, a forest on at least k + 1 vertices, all of
     them among the root and the k heads; so the heads are distinct and not
     the root, and the forest is one tree, out from the root: the subtree
-    is valid.  A valid subtree in either form always gets through.
+    is valid.  A valid subtree given so always gets through.
     """
-    if type(arcs) is tuple:
-        kind = Arc
-    elif type(arcs) is list:
-        kind = list
-    else:
-        return None
-    if type(root) is not int:
+    if type(arcs) is not list or type(root) is not int:
         return None
     heads = {root}
     tails = set()
@@ -240,11 +233,9 @@ def _walk_subtree(
     row = []
     walked = []
     for a in arcs:
-        if type(a) is not kind or len(a) != 2:
+        if type(a) is not list or len(a) != 2:
             return None
-        if kind is list:
-            a = tuple.__new__(Arc, a)
-            walked.append(a)
+        a = tuple.__new__(Arc, a)
         t, h = a
         if type(t) is not int or type(h) is not int:
             return None
@@ -255,8 +246,9 @@ def _walk_subtree(
         tails.add(t)
         skeleton.add(p >> 1)
         row.append(p)
+        walked.append(a)
     if root in tails and tails <= heads:
-        return tuple(row), arcs if kind is Arc else tuple(walked)
+        return tuple(row), tuple(walked)
     return None
 
 
@@ -336,9 +328,7 @@ def _violations(
 
 def validate_subtree(tree: HostTree, s: RootedSubtree) -> ValidationReport:
     """Check one rooted subtree against its host tree."""
-    position = tree.arc_position
-    walked = _walk_subtree(position, s.root, s.arcs)
-    violations = () if walked else _violations(position, s)[0]
+    violations = _violations(tree.arc_position, s)[0]
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -349,15 +339,13 @@ class Instance:
     `Instance(tree, subtrees)` validates everything except the degree-3
     restriction, `HostTree.degree_ok`, which only the greedy's
     `bfs_edge_order` enforces (generators, lower bounds and the exact
-    oracles are degree-agnostic).  Input is validated once, where it
-    enters, by lean accepting passes that build what they check:
-    `_walk_tree` gives the tree's `arc_position` (seeded into the tree
-    unless it holds one) and `_walk_subtree` each subtree's row of
-    `arc_positions`; `arc_members` is built from them at once.  Where a
-    pass gives up, `validate_tree` or `_violations` names the violations,
-    or accepts a valid tree or subtree given in another form (arcs as
-    plain tuples, say).  `formats.loads_instance` runs the same passes
-    over a parsed document and hands the positions to `Instance._trusted`.
+    oracles are degree-agnostic).  It checks through the naming functions:
+    `validate_tree`, then `_violations` per subtree, which raises on the
+    first bad one and gives each good one its row of `arc_positions`;
+    `arc_members` is built from the rows at once.  `formats.loads_instance`
+    reads a document by its own lean walks and hands both tables to
+    `Instance._trusted`, so only a document the walks give up on comes
+    here, to have its first defect named.
     Otherwise `_trusted` is only for producers inside the package whose
     output is valid by construction (`normalize` padding a validated
     instance, handing over both tables; `generate_instance` growing a tree
@@ -370,27 +358,18 @@ class Instance:
     subtrees: tuple[RootedSubtree, ...]
 
     def __post_init__(self) -> None:
-        tree = self.tree
-        position = _walk_tree(tree.vertices, tree.edges)
-        if position is None:
-            rep = validate_tree(tree)
-            if not rep.ok:
-                raise InputError("invalid host tree: " + "; ".join(rep.violations))
-            position = tree.arc_position
-        else:
-            position = tree.__dict__.setdefault("arc_position", position)
+        rep = validate_tree(self.tree)
+        if not rep.ok:
+            raise InputError("invalid host tree: " + "; ".join(rep.violations))
+        position = self.tree.arc_position
         positions = []
         for i, s in enumerate(self.subtrees):
-            walked = _walk_subtree(position, s.root, s.arcs)
-            if walked:
-                positions.append(walked[0])
-                continue
             violations, row = _violations(position, s)
             if violations:
                 raise InputError(f"invalid subtree {i}: " + "; ".join(violations))
             positions.append(row)
         self.__dict__["arc_positions"] = tuple(positions)
-        self.arc_members  # built now from the walked positions: hold both tables
+        self.arc_members  # built now from the checked positions: hold both tables
 
     @classmethod
     def _trusted(
@@ -403,7 +382,7 @@ class Instance:
         """An instance built without validation, optionally with its arc tables.
 
         The caller guarantees what `__post_init__` would check, having
-        built the instance itself or checked it with the same passes, and
+        built the instance itself or checked it with the loader's walks, and
         that any table it hands over equals the one this instance would
         compute.  `arc_members` comes only with `arc_positions`; given the
         positions alone, it is built from them at once.

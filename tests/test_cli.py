@@ -490,6 +490,33 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
             "verify", P3_TEXT, '{"colors":' + "[" * 100_000 + "]" * 100_000 + "}",
             "coloring document is nested too deeply", id="deep_coloring",
         ),
+        # invalid JSON is measured up to the parse error, outside strings
+        pytest.param(
+            "color", "[" * (MAX_DEPTH + 1), None, "instance document is nested too deeply",
+            id="deep_invalid_instance",
+        ),
+        pytest.param(
+            "bound", "[" * MAX_DEPTH, None,
+            "instance document is not valid JSON: "
+            "Expecting value: line 1 column 33 (char 32)",
+            id="invalid_instance_at_depth_limit",
+        ),
+        pytest.param(
+            "bound", '["\\"' + "[" * 40 + '", ', None,
+            "instance document is not valid JSON: "
+            "Expecting value: line 1 column 48 (char 47)",
+            id="invalid_instance_brackets_in_string",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":' + "[" * MAX_DEPTH,
+            "coloring document is nested too deeply", id="deep_invalid_coloring",
+        ),
+        pytest.param(
+            "verify", P3_TEXT, '{"colors":' + "[" * (MAX_DEPTH - 1),
+            "coloring document is not valid JSON: "
+            "Expecting value: line 1 column 42 (char 41)",
+            id="invalid_coloring_at_depth_limit",
+        ),
         pytest.param(
             "color", HUGE_INT_TEXT, None,
             "instance document holds an integer too long to read", id="huge_int_instance",

@@ -206,6 +206,54 @@ def test_nesting_rule_depends_on_the_document_alone(p3_demo):
     assert proc.stdout == f"{e.value}\n" == "coloring document is nested too deeply\n"
 
 
+def test_invalid_json_nesting_rule_ignores_the_callers_stack():
+    """A document that is not valid JSON is nested too deeply when the
+    text read up to the parse error opens more than `MAX_DEPTH` arrays,
+    whether the loader is called from a fresh interpreter's top level or
+    200 frames deeper; `[` repeated 900 times once read `not valid JSON`
+    at the top level and `nested too deeply` deeper down."""
+    script = (
+        "from treewave.formats import loads_coloring, loads_instance\n"
+        "def deep(frames, load, text):\n"
+        "    if frames:\n"
+        "        return deep(frames - 1, load, text)\n"
+        "    try:\n"
+        "        load(text)\n"
+        "    except ValueError as e:\n"
+        "        return str(e)\n"
+        "for levels in (32, 33, 900):\n"
+        "    for load in (loads_instance, loads_coloring):\n"
+        "        for frames in (0, 200):\n"
+        "            print(deep(frames, load, '[' * levels))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+    def message(what, levels):
+        if levels > MAX_DEPTH:
+            return f"{what} document is nested too deeply"
+        return f"{what} document is not valid JSON: Expecting value: line 1 column 33 (char 32)"
+
+    loaders = (("instance", loads_instance), ("coloring", loads_coloring))
+    assert proc.stdout.splitlines() == [
+        message(what, levels)
+        for levels in (32, 33, 900)
+        for what, _ in loaders
+        for _frames in (0, 200)
+    ]
+    for what, load in loaders:
+        for levels in (32, 33, 900):
+            with pytest.raises(InputError) as e:
+                load("[" * levels)
+            assert str(e.value) == message(what, levels)
+
+
 def _loaded(load, text: str):
     """What `load` gives for `text`: the instance with its tables and the
     exact types of its edges and arcs, or the rejection message."""
@@ -301,8 +349,8 @@ def test_loader_equals_reference_on_mutated_documents(vertices, count, seed, dat
 def test_valid_document_is_walked_once(monkeypatch):
     """A valid document is read by the one walk alone: the shape helpers,
     `validate_tree` and `_violations` never run, and each subtree is
-    walked once.  A bad arc sends the document to the naming pass, which
-    names that arc."""
+    walked once.  A bad arc sends the document to the naming pass, whose
+    `Instance(...)` checks each subtree up to that one and names the arc."""
     calls: collections.Counter = collections.Counter()
 
     def count(module, name):
@@ -332,7 +380,7 @@ def test_valid_document_is_walked_once(monkeypatch):
     assert str(e.value) == f"invalid subtree 6: arc ({tail},12) is not a host tree edge"
     arcs = sum(len(s.arcs) for s in inst.subtrees)
     assert calls["_subtree"] == 15 and calls["_pair"] == 11 + arcs
-    assert calls["_violations"] == 1
+    assert calls["_violations"] == 7
 
 
 def test_coloring_format_plain():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -30,7 +31,6 @@ from treewave import (
     validate_tree,
 )
 from treewave import instances
-from treewave.formats import dumps_instance, loads_instance
 from treewave.instances import edge_sides
 
 
@@ -202,8 +202,7 @@ def test_edges_and_arcs_that_are_not_pairs_rejected_by_instance():
 def test_list_arc_read_like_an_arc_by_instance():
     """An arc given as a list finds its position by its unpacked pair, as
     a list edge does in `HostTree`; it once raised a bare `TypeError`
-    from hashing the list.  Arcs that are not a tuple skip the walk's
-    lean pass, so empty ones of any kind are still reported as such."""
+    from hashing the list.  Empty arcs of any kind are reported as such."""
     path = HostTree(2, ((0, 1),))
     inst = Instance(path, (RootedSubtree(0, ([0, 1],)),))
     assert inst.arc_positions == ((0,),)
@@ -216,9 +215,9 @@ def test_list_arc_read_like_an_arc_by_instance():
 
 def _instance_agrees(tree: HostTree, s: RootedSubtree) -> None:
     """`Instance(tree, (s,))` with `s`'s arcs as `Arc`s, plain tuples and
-    lists, so the walk's lean pass and its naming pass both run: refused
-    with the reference's violations iff it reports any, else holding the
-    positions of the arcs."""
+    lists, each read by the naming pass: refused with the reference's
+    violations iff it reports any, else holding the positions of the
+    arcs."""
     reference = validate_subtree_reference(tree, s)
     for arcs in (s.arcs, tuple(map(tuple, s.arcs)), tuple(map(list, s.arcs))):
         try:
@@ -231,27 +230,38 @@ def _instance_agrees(tree: HostTree, s: RootedSubtree) -> None:
             assert inst.arc_positions[0] == tuple(tree.arc_position[a] for a in s.arcs)
 
 
-def test_only_irregular_subtrees_are_walked_twice(monkeypatch):
-    """Valid subtrees built from `Arc`s, as the loader builds them, pass
-    the walk's lean pass alone; a subtree with a list arc or a violation
-    is walked again to name its violations."""
-    calls = []
-    name = instances._violations
+def test_instance_checks_through_the_naming_functions(monkeypatch):
+    """`Instance(...)` and `validate_subtree` never run the loader's walks:
+    `Instance(...)` checks the tree with `validate_tree` and each subtree
+    it reaches with `_violations`, once, up to the first bad one."""
+    calls: collections.Counter = collections.Counter()
 
-    def counting(position, s):
-        calls.append(s)
-        return name(position, s)
+    def count(name):
+        fn = getattr(instances, name)
 
-    monkeypatch.setattr(instances, "_violations", counting)
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(instances, name, counting)
+
+    for name in ("_walk_tree", "_walk_subtree", "validate_tree", "_violations"):
+        count(name)
     inst = make_instance(7, max_vertices=12, max_subtrees=20, max_arcs=6)
-    Instance(inst.tree, inst.subtrees)
-    loads_instance(dumps_instance(inst))
-    assert inst.size > 0 and calls == []
-    path = HostTree(2, ((0, 1),))
-    Instance(path, (RootedSubtree(0, ([0, 1],)),))
-    with pytest.raises(InputError):
-        Instance(path, (RootedSubtree(1, (Arc(0, 1),)),))
-    assert len(calls) == 2
+    assert Instance(inst.tree, inst.subtrees) == inst
+    assert inst.size > 3 and calls == {"validate_tree": 1, "_violations": inst.size}
+
+    calls.clear()
+    for s in inst.subtrees:
+        assert validate_subtree(inst.tree, s).ok
+    assert calls == {"_violations": inst.size}
+
+    calls.clear()
+    first = inst.subtrees[0]
+    bad = RootedSubtree(first.arcs[0].head, first.arcs)
+    with pytest.raises(InputError, match=r"^invalid subtree 3: root \d+ has in-degree 1"):
+        Instance(inst.tree, inst.subtrees[:3] + (bad,) + inst.subtrees[3:])
+    assert calls == {"validate_tree": 1, "_violations": 4}
 
 
 def test_two_way_edge_apart_from_the_root_refused():
@@ -381,6 +391,116 @@ def test_validate_subtree_matches_reference_exhaustively():
                     _instance_agrees(tree, s)
                     cases += 1
     assert cases == 63_027
+
+
+@st.composite
+def _list_trees(draw):
+    """A valid host tree as an instance document holds it: a vertex count
+    and a list of `[u, v]` lists, labels, order and orientation drawn."""
+    n = draw(st.integers(1, 9))
+    labels = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        e = [labels[draw(st.integers(0, v - 1))], labels[v]]
+        edges.append(e if draw(st.booleans()) else e[::-1])
+    return n, draw(st.permutations(edges))
+
+
+def _inexact(x, pick):
+    """A `bool` or `float` id equal to the integer `x`, where one exists."""
+    return pick([float(x), *([bool(x)] if x in (0, 1) else [])])
+
+
+TREE_MUTATIONS = (
+    "none",
+    "repeated_edge",
+    "self_loop",
+    "out_of_range",
+    "cycle",
+    "arity",
+    "inexact_id",
+)
+
+
+def _mutate_tree(n: int, edges: list, kind: str, pick):
+    """`(n, edges)` changed by one mutation `kind` where the tree is large
+    enough for it; `pick(seq)` chooses one element."""
+    edges = [list(e) for e in edges]
+    if kind == "repeated_edge" and n >= 3:
+        i, j = pick([(i, j) for i in range(n - 1) for j in range(n - 1) if i != j])
+        edges[j] = pick([edges[i], edges[i][::-1]])
+    elif kind == "self_loop" and edges:
+        edges[pick(range(n - 1))] = [pick(range(n))] * 2
+    elif kind == "out_of_range" and edges:
+        edges[pick(range(n - 1))][pick((0, 1))] = pick((-1, n, n + 1))
+    elif kind == "cycle" and n >= 4:
+        # a leaf's edge replaced by a chord among the rest: n - 1 edges, a
+        # cycle, and the leaf left over
+        degree = collections.Counter(v for e in edges for v in e)
+        leaf = pick([v for v in range(n) if degree[v] == 1])
+        k = next(k for k, e in enumerate(edges) if leaf in e)
+        del edges[k]
+        adjacent = {frozenset(e) for e in edges}
+        rest = [v for v in range(n) if v != leaf]
+        chords = [[a, b] for a in rest for b in rest if a != b]
+        edges.insert(k, pick([e for e in chords if frozenset(e) not in adjacent]))
+    elif kind == "arity" and edges:
+        k = pick(range(n - 1))
+        edges[k] = pick([[], edges[k][:1], edges[k] + edges[k][:1]])
+    elif kind == "inexact_id":
+        if not edges or pick((True, False)):
+            return _inexact(n, pick), edges
+        e = edges[pick(range(n - 1))]
+        i = pick((0, 1))
+        e[i] = _inexact(e[i], pick)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_list_trees(), data=st.data())
+def test_tree_walk_accepts_exactly_the_valid_trees(tree, data):
+    """The loader's tree walk, on list-form edge lists and each kind of
+    mutation: a table only when `validate_tree` accepts the tree, equal
+    to `HostTree.arc_position` in value and order, and one for every
+    valid tree."""
+    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+    n, edges = _mutate_tree(*tree, pick(TREE_MUTATIONS), pick)
+    position = instances._walk_tree(n, edges)
+    host = HostTree(n, tuple(map(tuple, edges)))
+    assert (position is not None) == validate_tree(host).ok
+    if position is not None:
+        assert list(position.items()) == list(host.arc_position.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_subtree_walk_accepts_exactly_the_valid_subtrees(seed, data):
+    """The loader's subtree walk, on list-form arcs under every subtree
+    mutation above, plus a wrong-arity arc, a `bool` or `float` id, or
+    arcs given as a `RootedSubtree` holds them: the positions and `Arc`s
+    of the subtree only when it is well formed and the reference accepts
+    it, and for every such subtree."""
+    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+    for tree, s in _mutated_subtrees(seed, pick):
+        root, arcs = s.root, [list(a) for a in s.arcs]
+        form = pick(("lists", "arity", "inexact_id", "tuples")) if arcs else "lists"
+        if form == "arity":
+            k = pick(range(len(arcs)))
+            arcs[k] = pick([[], arcs[k][:1], arcs[k] + arcs[k][:1]])
+        elif form == "inexact_id" and pick((True, False)):
+            root = _inexact(root, pick)
+        elif form == "inexact_id":
+            a = arcs[pick(range(len(arcs)))]
+            i = pick((0, 1))
+            a[i] = _inexact(a[i], pick)
+        elif form == "tuples":
+            arcs = s.arcs
+        walked = instances._walk_subtree(tree.arc_position, root, arcs)
+        ok = form == "lists" and validate_subtree_reference(tree, s).ok
+        assert (walked is not None) == ok
+        if ok:
+            assert walked == (tuple(tree.arc_position[a] for a in s.arcs), s.arcs)
+            assert {type(a) for a in walked[1]} == {Arc}
 
 
 class TestCollide:

@@ -87,6 +87,19 @@ def test_sources_parse_at_the_declared_python_floor():
         )
 
 
+def test_console_script_target_is_callable():
+    """The `[project.scripts]` entry of pyproject.toml names a function
+    that imports and can be called; the file is read by pattern, as
+    Python 3.10 has no `tomllib`."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert section is not None
+    targets = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', section[1], re.M)
+    assert targets == [("treewave", "treewave.cli", "main")]
+    for _, module, name in targets:
+        assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_readme_lists_every_export():
     """README's export paragraph names every entry of `treewave.__all__`,
     backticked, so an added or renamed export cannot drift from it."""
