@@ -5,10 +5,11 @@ separators, a single trailing newline, no whitespace variation.  Golden
 file tests depend on this.
 
 Loading an instance reads the parsed document in one accepting walk: it
-checks each value once, only under the documented keys, and builds the
-host tree (the one place its `arc_position` is seeded), the arcs, the
-subtrees and both arc tables as it goes, with the lean walks that read
-only documents (`instances._walk_tree`, `_walk_subtree`).  Only a
+checks each value once, only under the documented keys, checks the host
+tree with the package's one tree check (`instances._tree_violations`),
+numbers its arcs by `HostTree.arc_position`, and builds the arcs, the
+subtrees and both arc tables as it goes, with the lean subtree walk that
+reads only documents (`instances._walk_subtree`).  Only a
 document the walk gives up on is read again, by the naming pass: the
 nesting rule, then each value's shape in document order, then
 `Instance(...)`, which names the first defect.  The naming pass alone
@@ -146,11 +147,10 @@ def _walked_instance(doc) -> Instance | None:
     if type(tree_doc) is not dict or len(tree_doc) != 2 or type(subtree_docs) is not list:
         return None
     vertices, edge_docs = tree_doc.get("vertices"), tree_doc.get("edges")
-    position = instances._walk_tree(vertices, edge_docs)
-    if position is None:
+    if type(edge_docs) is not list or instances._tree_violations(vertices, edge_docs):
         return None
     tree = HostTree(vertices, tuple(map(tuple, edge_docs)))
-    tree.__dict__["arc_position"] = position
+    position = tree.arc_position
     walk = instances._walk_subtree
     subtrees = []
     positions = []

@@ -14,7 +14,7 @@ failure or a greedy/exact ratio above 5/2 fails the whole run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import ORACLE_GUARD, compute_bounds, first_fit_baseline, normalize
@@ -35,6 +35,15 @@ MAX_RATIO = 2.5
 ALL_SOLVERS = ("greedy", "baseline", "exact", "bounds")
 
 
+def _check_ints(params, names: Iterable[str]) -> None:
+    """Refuse a field that is not exactly an `int`, before any is compared:
+    a `bool` would be written out as `true`, and a float drawn from as it is."""
+    for name in names:
+        value = getattr(params, name)
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise InputError("seed must satisfy 0 <= seed < 2**64")
@@ -47,7 +56,8 @@ class GenParams:
     The vertex count and the size range are each a range the generator
     draws from, so neither may hold more than 2**64 values
     (`XorShift64Star.below`).  The seed is one 64-bit word: a seed
-    outside [0, 2**64) is refused, not wrapped onto one inside it.
+    outside [0, 2**64) is refused, not wrapped onto one inside it.  Every
+    field is exactly an `int`, the size range a tuple of two of them.
     """
 
     num_vertices: int
@@ -57,6 +67,10 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_ints(self, ("num_vertices", "max_degree", "num_subtrees", "seed"))
+        r = self.subtree_size_range
+        if type(r) is not tuple or len(r) != 2 or not set(map(type, r)) <= {int}:
+            raise InputError("subtree_size_range must be a pair of integers (min, max)")
         if self.num_vertices < 1:
             raise InputError("num_vertices must be >= 1")
         if self.num_vertices > BELOW_LIMIT:
@@ -194,7 +208,7 @@ class SweepSpec:
     Vertex counts, request counts and arc counts are drawn from these
     ranges, so none may hold more than 2**64 values
     (`XorShift64Star.below`).  The base seed, like `GenParams.seed`, must
-    lie in [0, 2**64).
+    lie in [0, 2**64).  Every field is exactly an `int`.
     """
 
     instances: int
@@ -206,6 +220,7 @@ class SweepSpec:
     max_arcs: int = 3
 
     def __post_init__(self) -> None:
+        _check_ints(self, (f.name for f in fields(self)))
         if self.instances < 0:
             raise InputError("instance count must be >= 0")
         if self.max_vertices < 2:

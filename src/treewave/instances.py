@@ -13,10 +13,11 @@ k of its edge list has its (min,max) arc at 2k and its (max,min) arc at
 The host tree has no edge test of its own; `edge_sides` is the one check
 that a vertex pair is a host edge.
 
-One implementation per job at the input boundary: `validate_tree` and
-`_violations` check and number every tree and subtree built in the
-library, and `_walk_tree` and `_walk_subtree` read only the lists of a
-parsed instance document, for `formats.loads_instance`.
+One implementation per job at the input boundary: `_tree_violations` is
+the one host-tree check, behind `validate_tree` and the loader alike;
+`_violations` checks and numbers every subtree built in the library, and
+`_walk_subtree` reads only the arc lists of a parsed instance document,
+for `formats.loads_instance`.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -70,10 +71,13 @@ class HostTree:
         """Arc -> position: edge k of `edges` has its (min,max) arc at 2k
         and its (max,min) arc at 2k+1.  Keys are plain tuples."""
         position = {}
-        for k, (u, v) in enumerate(self.edges):
-            a, b = edge_key(u, v)
-            position[a, b] = 2 * k
-            position[b, a] = 2 * k + 1
+        p = 0
+        for u, v in self.edges:
+            if v < u:
+                u, v = v, u
+            position[u, v] = p
+            position[v, u] = p + 1
+            p += 2
         return position
 
     @cached_property
@@ -103,22 +107,38 @@ class ValidationReport:
 
 
 def validate_tree(tree: HostTree) -> ValidationReport:
-    """Check the host-tree invariants; violations are data, not failures.
+    """Check the host-tree invariants (`_tree_violations`); violations are
+    data, not failures."""
+    violations = _tree_violations(tree.vertices, tree.edges)
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _tree_violations(n, edges) -> list[str]:
+    """The violations of a host tree on n vertices with these edges, in
+    `validate_tree`'s order; the one tree check, for `Instance(...)` and
+    the loader alike.
+
     The edges must be a sized collection, such as a tuple or a list, an
     edge a pair, and a vertex count or edge endpoint exactly an `int` (not
-    a `bool`, nor a float equal to an integer)."""
-    n = tree.vertices
+    a `bool`, nor a float equal to an integer).  Connectivity is tested by
+    union-find with path halving, linking the second endpoint's component
+    under the first's, which keeps a tree drawn parent first shallow; its
+    table is allocated only when there are n - 1 edges.  n - 1 distinct
+    in-range edges without self-loops form a tree iff no join closes a
+    cycle, so the connectivity message is given only then, when nothing
+    else is wrong.
+    """
     if type(n) is not int:
-        violation = f"vertex count {n!r} is not an integer"
-        return ValidationReport(ok=False, violations=(violation,))
-    if not isinstance(tree.edges, Collection):
-        violation = f"edges of type {type(tree.edges).__name__} are not a collection"
-        return ValidationReport(ok=False, violations=(violation,))
+        return [f"vertex count {n!r} is not an integer"]
+    if not isinstance(edges, Collection):
+        return [f"edges of type {type(edges).__name__} are not a collection"]
     violations: list[str] = []
     if n < 0:
         violations.append("vertex count is negative")
+    parent = list(range(n)) if len(edges) == n - 1 else None
+    cycle = False
     seen: set[tuple[int, int]] = set()
-    for e in tree.edges:
+    for e in edges:
         try:
             u, v = e
         except (TypeError, ValueError):
@@ -133,68 +153,26 @@ def validate_tree(tree: HostTree) -> ValidationReport:
         if u == v:
             violations.append(f"self-loop at vertex {u}")
             continue
-        k = edge_key(u, v)
+        k = (u, v) if u < v else (v, u)
         if k in seen:
             violations.append(f"duplicate edge {k}")
         seen.add(k)
-    if len(tree.edges) != n - 1:
+        if parent is not None:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                cycle = True
+            else:
+                parent[v] = u
+    if len(edges) != n - 1:
         violations.append(
-            f"edge count {len(tree.edges)} != vertices-1 ({n - 1}): cycle or forest"
+            f"edge count {len(edges)} != vertices-1 ({n - 1}): cycle or forest"
         )
-    if not violations and n > 0:
-        reached = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in tree.adjacency[u]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != n:
-            violations.append("not connected: some vertex unreachable from 0")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def _walk_tree(n, edges) -> dict[tuple[int, int], int] | None:
-    """`HostTree.arc_position` of a valid host tree as an instance
-    document holds it, from a lean accepting pass that checks the tree as
-    it goes, or None at the first irregularity, left to `validate_tree`.
-
-    The pass gets through when the vertex count is an exact `int` and the
-    edges, a list of n - 1 of them (so n is at least 1), are each a list
-    of two exact `int`s in range that joins two components not yet joined
-    (union-find with path halving, linking the second endpoint's component
-    under the first's, which keeps a tree drawn parent first shallow).  So
-    there is no self-loop or repeated edge, and n - 1 joins leave one
-    component: a tree.  A valid tree given so always gets through.
-    """
-    if type(n) is not int or type(edges) is not list or len(edges) != n - 1:
-        return None
-    parent = list(range(n))
-    position = {}
-    p = 0
-    for e in edges:
-        if type(e) is not list or len(e) != 2:
-            return None
-        u, v = e
-        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
-            return None
-        a, b = u, v
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            return None
-        parent[b] = a
-        if u < v:
-            position[u, v] = p
-            position[v, u] = p + 1
-        else:
-            position[v, u] = p
-            position[u, v] = p + 1
-        p += 2
-    return position
+    if cycle and not violations:
+        violations.append("not connected: some vertex unreachable from 0")
+    return violations
 
 
 @dataclass(frozen=True)
@@ -258,9 +236,10 @@ def _violations(
     """One pass over a subtree's arcs: its violations, in
     `validate_subtree`'s order, and the positions of its arcs.
 
-    The arcs must be a sized collection, such as a tuple or a list, an arc
-    a pair, and a root or arc endpoint exactly an `int`: a `bool` or a
-    float equal to a vertex id would find its arc's position all the same.
+    The entry must be a `RootedSubtree`, its arcs a sized collection, such
+    as a tuple or a list, an arc a pair, and a root or arc endpoint
+    exactly an `int`: a `bool` or a float equal to a vertex id would find
+    its arc's position all the same.
     The position is looked up by the unpacked pair, so an arc given as a
     list is read like an `Arc`.
     The positions are meaningful only when there are no violations.  A
@@ -268,6 +247,8 @@ def _violations(
     skeleton edge of an arc in the tree; an arc outside it is keyed by its
     (min,max) pair instead, so it is still checked for a second use.
     """
+    if not isinstance(s, RootedSubtree):
+        return [f"entry of type {type(s).__name__} is not a RootedSubtree"], ()
     arcs = s.arcs
     if not arcs:
         return ["subtree has no arcs (requests must occupy a fiber link)"], ()
@@ -342,10 +323,12 @@ class Instance:
     oracles are degree-agnostic).  It checks through the naming functions:
     `validate_tree`, then `_violations` per subtree, which raises on the
     first bad one and gives each good one its row of `arc_positions`;
-    `arc_members` is built from the rows at once.  `formats.loads_instance`
-    reads a document by its own lean walks and hands both tables to
-    `Instance._trusted`, so only a document the walks give up on comes
-    here, to have its first defect named.
+    `arc_members` is built from the rows at once.  The tree must be a
+    `HostTree`, and the subtrees a sized collection of `RootedSubtree`s.
+    `formats.loads_instance` checks a document's tree with the same
+    `_tree_violations`, walks its subtrees with the lean `_walk_subtree`
+    and hands both tables to `Instance._trusted`, so only a document the
+    walk gives up on comes here, to have its first defect named.
     Otherwise `_trusted` is only for producers inside the package whose
     output is valid by construction (`normalize` padding a validated
     instance, handing over both tables; `generate_instance` growing a tree
@@ -358,6 +341,12 @@ class Instance:
     subtrees: tuple[RootedSubtree, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tree, HostTree):
+            kind = type(self.tree).__name__
+            raise InputError(f"invalid host tree: tree of type {kind} is not a HostTree")
+        if not isinstance(self.subtrees, Collection):
+            kind = type(self.subtrees).__name__
+            raise InputError(f"subtrees of type {kind} are not a collection")
         rep = validate_tree(self.tree)
         if not rep.ok:
             raise InputError("invalid host tree: " + "; ".join(rep.violations))

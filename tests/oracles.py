@@ -12,8 +12,9 @@ chromatic and clique searches, whose results the package must equal;
 `first_fit_reference`, the whole-graph first-fit the χ search once ran,
 whose colors the package's first-fit classes must equal;
 `reuse_graph_reference`, the greedy's reuse graph built from the checked
-`edge_complement_bipartite`; `validate_subtree_reference`, the subtree
-validator as first written; `loads_instance_reference`, the instance
+`edge_complement_bipartite`; `validate_tree_reference`, the host-tree
+check with its connectivity search; `validate_subtree_reference`, the
+subtree validator as first written; `loads_instance_reference`, the instance
 loader as it was before it read a document in one walk: a shape pass,
 then the tree and subtree checks; `tree_edges_reference`, the generator's
 tree drawn by rescanning every earlier vertex; and
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Collection
 from typing import NamedTuple, Sequence
 
 from treewave import (
@@ -47,7 +49,6 @@ from treewave import (
     LimitError,
     RootedSubtree,
     edge_complement_bipartite,
-    validate_tree,
 )
 from treewave.bounds import _first_fit_classes, _greedy_clique
 from treewave.instances import ValidationReport, edge_key
@@ -494,6 +495,61 @@ def tree_edges_reference(p) -> list[tuple[int, int]]:
     return edges
 
 
+def validate_tree_reference(tree: HostTree) -> ValidationReport:
+    """The package's host-tree check before it tested connectivity by
+    union-find: a seen set over the edges, then, when nothing else is
+    wrong, a search from vertex 0 over `tree.adjacency`.  The edges must
+    be a sized collection, such as a tuple or a list, an edge a pair, and
+    a vertex count or edge endpoint exactly an `int` (not a `bool`, nor a
+    float equal to an integer)."""
+    n = tree.vertices
+    if type(n) is not int:
+        violation = f"vertex count {n!r} is not an integer"
+        return ValidationReport(ok=False, violations=(violation,))
+    if not isinstance(tree.edges, Collection):
+        violation = f"edges of type {type(tree.edges).__name__} are not a collection"
+        return ValidationReport(ok=False, violations=(violation,))
+    violations: list[str] = []
+    if n < 0:
+        violations.append("vertex count is negative")
+    seen: set[tuple[int, int]] = set()
+    for e in tree.edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            violations.append(f"edge {e!r} is not a pair")
+            continue
+        if type(u) is not int or type(v) is not int:
+            violations.append(f"edge ({u!r},{v!r}) has a non-integer endpoint")
+            continue
+        if not (0 <= u < n and 0 <= v < n):
+            violations.append(f"edge ({u},{v}) has endpoint out of range")
+            continue
+        if u == v:
+            violations.append(f"self-loop at vertex {u}")
+            continue
+        k = edge_key(u, v)
+        if k in seen:
+            violations.append(f"duplicate edge {k}")
+        seen.add(k)
+    if len(tree.edges) != n - 1:
+        violations.append(
+            f"edge count {len(tree.edges)} != vertices-1 ({n - 1}): cycle or forest"
+        )
+    if not violations and n > 0:
+        reached = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for w in tree.adjacency[u]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != n:
+            violations.append("not connected: some vertex unreachable from 0")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
 def validate_subtree_reference(tree, s) -> ValidationReport:
     """The package's subtree validator as first written: a host-arc lookup
     and `edge_key` per arc, and the vertex set rebuilt from root and arcs."""
@@ -589,7 +645,7 @@ def loads_instance_reference(text: str) -> Instance:
     """The instance loader before it read a document in one walk, with
     every message it gave: the JSON parse, a shape pass over the parsed
     document in document order (edges before `vertices`, each root before
-    its arcs), then `validate_tree` and, per subtree,
+    its arcs), then `validate_tree_reference` and, per subtree,
     `validate_subtree_reference`.  It has no nesting rule of its own; a
     document deeper than the parser's stack is `nested too deeply`.  The
     instance is built unchecked, so its arc tables, and the tree's
@@ -614,7 +670,7 @@ def loads_instance_reference(text: str) -> Instance:
         )
     except InputError as e:
         raise InputError(f"malformed instance document: {e}") from e
-    rep = validate_tree(tree)
+    rep = validate_tree_reference(tree)
     if not rep.ok:
         raise InputError("invalid host tree: " + "; ".join(rep.violations))
     for i, s in enumerate(subtrees):

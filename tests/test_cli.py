@@ -553,6 +553,11 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
                     "expected an array, got {}",
                 ),
                 (
+                    "edges_empty_string",
+                    '{"tree":{"vertices":1,"edges":""},"subtrees":[]}',
+                    'expected an array, got ""',
+                ),
+                (
                     "edge_triple",
                     '{"tree":{"vertices":3,"edges":[[0,1,2]]},"subtrees":[]}',
                     "expected a pair of integers, got [0, 1, 2]",
@@ -569,6 +574,15 @@ def test_non_integer_input_exit_2(tmp_path, capsys, command, instance_text, colo
                     'expected an array, got "ab"',
                 ),
             )
+        ),
+        # refused by its edge count, before any per-vertex table is made
+        pytest.param(
+            "bound",
+            '{"tree":{"vertices":1000000000000000,"edges":[]},"subtrees":[]}',
+            None,
+            "invalid host tree: edge count 0 != vertices-1 (999999999999999): "
+            "cycle or forest",
+            id="huge_vertex_count",
         ),
         pytest.param(
             "verify", P3_TEXT, '{"colors":5}',
@@ -898,3 +912,28 @@ def test_bench_solver_subset(tmp_path):
     assert cells["exact_chromatic"] == ""
     assert cells["baseline_colors"] == ""
     assert cells["greedy_colors_padded"] != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["bench", "--instances", "200", "--seed", "7", "--csv", "-"], id="bench"),
+        pytest.param(
+            ["color", str(GOLDEN / "fork_scheme2_wins_instance.json"), "--trace"],
+            id="color_trace",
+        ),
+        pytest.param(["bound", str(GOLDEN / "star_demo_instance.json")], id="bound"),
+        pytest.param(["exact", str(GOLDEN / "star_demo_instance.json")], id="exact"),
+    ],
+)
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+    """Byte-determinism across interpreters: string and set hashing vary
+    with `PYTHONHASHSEED`, and no output byte may follow it.  stderr may
+    differ only in the `solver wall time` line."""
+    runs = []
+    for seed in ("0", "1"):
+        proc = _run_module(*argv, env={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, re.sub(rb"solver wall time: .*\n", b"", proc.stderr)))
+    assert runs[0] == runs[1]
+    assert runs[0][0]

@@ -347,10 +347,11 @@ def test_loader_equals_reference_on_mutated_documents(vertices, count, seed, dat
 
 
 def test_valid_document_is_walked_once(monkeypatch):
-    """A valid document is read by the one walk alone: the shape helpers,
-    `validate_tree` and `_violations` never run, and each subtree is
-    walked once.  A bad arc sends the document to the naming pass, whose
-    `Instance(...)` checks each subtree up to that one and names the arc."""
+    """A valid document is read by the one walk alone: the tree is checked
+    once, by `_tree_violations`, the shape helpers, `validate_tree` and
+    `_violations` never run, and each subtree is walked once.  A bad arc
+    sends the document to the naming pass, whose `Instance(...)` checks
+    each subtree up to that one and names the arc."""
     calls: collections.Counter = collections.Counter()
 
     def count(module, name):
@@ -365,12 +366,13 @@ def test_valid_document_is_walked_once(monkeypatch):
     count(formats, "_pair")
     count(formats, "_subtree")
     count(instances, "validate_tree")
+    count(instances, "_tree_violations")
     count(instances, "_violations")
     count(instances, "_walk_subtree")
     inst = generate_instance(GenParams(12, 3, 15, (1, 4), seed=3))
     doc = json.loads(dumps_instance(inst))
     assert loads_instance(json.dumps(doc)) == inst
-    assert calls == {"_walk_subtree": 15}
+    assert calls == {"_tree_violations": 1, "_walk_subtree": 15}
 
     calls.clear()
     tail = doc["subtrees"][6]["arcs"][-1][0]

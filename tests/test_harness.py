@@ -50,6 +50,30 @@ class TestGenParams:
         with pytest.raises(InputError):
             GenParams(5, 3, 1, (3, 2), 0)
 
+    def test_fields_must_be_exact_ints(self):
+        """Every field is exactly an `int`, the size range a tuple of two:
+        `True` vertices were written out as `true`, a (1.5, 2) range drew
+        subtrees of 3 arcs, `SweepSpec(True, 1)` ran one instance, and
+        other values raised a bare `TypeError` or `ValueError`."""
+        pair = r"^subtree_size_range must be a pair of integers \(min, max\)$"
+        cases = (
+            (lambda: GenParams(True, 3, 0, (1, 2), 1), "num_vertices", "bool"),
+            (lambda: GenParams(5.5, 3, 0, (1, 2), 1), "num_vertices", "float"),
+            (lambda: GenParams(5, 3.0, 0, (1, 2), 1), "max_degree", "float"),
+            (lambda: GenParams(5, 3, None, (1, 2), 1), "num_subtrees", "NoneType"),
+            (lambda: GenParams(5, 3, 1, (1, 2), 1.5), "seed", "float"),
+            (lambda: SweepSpec(True, 1), "instances", "bool"),
+            (lambda: SweepSpec(2.5, 1), "instances", "float"),
+            (lambda: SweepSpec(1, "1"), "seed", "str"),
+            (lambda: SweepSpec(1, 0, max_arcs=3.0), "max_arcs", "float"),
+        )
+        for build, name, kind in cases:
+            with pytest.raises(InputError, match=rf"^{name} must be an integer, not {kind}$"):
+                build()
+        for size_range in ((1.5, 2), (1, True), (1, 2, 3), (1,), [1, 2], None):
+            with pytest.raises(InputError, match=pair):
+                GenParams(5, 3, 1, size_range, 1)
+
     def test_ranges_hold_at_most_2_64_values(self):
         """Each range the generator draws from may hold 2**64 values, not one
         more; the checks run before anything is drawn or allocated."""

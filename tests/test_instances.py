@@ -19,6 +19,7 @@ from oracles import (
     on_arc_naive,
     subtrees_on_arc,
     validate_subtree_reference,
+    validate_tree_reference,
 )
 from treewave import (
     Arc,
@@ -213,6 +214,39 @@ def test_list_arc_read_like_an_arc_by_instance():
             Instance(path, (RootedSubtree(0, arcs),))
 
 
+def test_subtrees_not_a_collection_of_subtrees_refused():
+    """`Instance(...)` takes its subtrees as `validate_tree` takes edges, a
+    sized collection, each entry a `RootedSubtree`, and its tree as a
+    `HostTree`: a generator once built an instance that wrote out no
+    subtrees and failed later with a bare `TypeError`, and a wrong entry
+    or tree raised a bare `AttributeError`."""
+    path = HostTree(2, ((0, 1),))
+    s = RootedSubtree(0, (Arc(0, 1),))
+    cases = (
+        (lambda: Instance(path, (t for t in (s,))), "generator"),
+        (lambda: Instance(path, None), "NoneType"),
+        (lambda: Instance(path, 3), "int"),
+    )
+    for build, kind in cases:
+        message = rf"^subtrees of type {kind} are not a collection$"
+        with pytest.raises(InputError, match=message):
+            build()
+    entries = ((((0, ((0, 1),)),), 0), ((None,), 0), ("ab", 0), ((s, None), 1))
+    for subtrees, bad in entries:
+        kind = type(subtrees[bad]).__name__
+        message = rf"^invalid subtree {bad}: entry of type {kind} is not a RootedSubtree$"
+        with pytest.raises(InputError, match=message):
+            Instance(path, subtrees)
+    assert validate_subtree(path, None).violations == (
+        "entry of type NoneType is not a RootedSubtree",
+    )
+    for tree, kind in ((None, "NoneType"), ((2, ((0, 1),)), "tuple")):
+        message = rf"^invalid host tree: tree of type {kind} is not a HostTree$"
+        with pytest.raises(InputError, match=message):
+            Instance(tree, (s,))
+    assert Instance(path, [s]).size == 1
+
+
 def _instance_agrees(tree: HostTree, s: RootedSubtree) -> None:
     """`Instance(tree, (s,))` with `s`'s arcs as `Arc`s, plain tuples and
     lists, each read by the naming pass: refused with the reference's
@@ -245,7 +279,7 @@ def test_instance_checks_through_the_naming_functions(monkeypatch):
 
         monkeypatch.setattr(instances, name, counting)
 
-    for name in ("_walk_tree", "_walk_subtree", "validate_tree", "_violations"):
+    for name in ("_walk_subtree", "validate_tree", "_violations"):
         count(name)
     inst = make_instance(7, max_vertices=12, max_subtrees=20, max_arcs=6)
     assert Instance(inst.tree, inst.subtrees) == inst
@@ -458,18 +492,17 @@ def _mutate_tree(n: int, edges: list, kind: str, pick):
 
 @settings(max_examples=300, deadline=None)
 @given(tree=_list_trees(), data=st.data())
-def test_tree_walk_accepts_exactly_the_valid_trees(tree, data):
-    """The loader's tree walk, on list-form edge lists and each kind of
-    mutation: a table only when `validate_tree` accepts the tree, equal
-    to `HostTree.arc_position` in value and order, and one for every
-    valid tree."""
+def test_tree_check_equals_the_reference(tree, data):
+    """The one tree check, on list-form edge lists and each kind of
+    mutation: `validate_tree` gives the reference's report, violations
+    and their order included, and `_tree_violations` on the lists, as the
+    loader calls it, accepts exactly the trees the reference accepts."""
     pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
     n, edges = _mutate_tree(*tree, pick(TREE_MUTATIONS), pick)
-    position = instances._walk_tree(n, edges)
     host = HostTree(n, tuple(map(tuple, edges)))
-    assert (position is not None) == validate_tree(host).ok
-    if position is not None:
-        assert list(position.items()) == list(host.arc_position.items())
+    reference = validate_tree_reference(host)
+    assert validate_tree(host) == reference
+    assert (not instances._tree_violations(n, edges)) == reference.ok
 
 
 @settings(max_examples=150, deadline=None)
